@@ -15,12 +15,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/tlb.hpp"
 #include "harness/scheme.hpp"
 #include "lb/letflow.hpp"
 #include "lb/presto.hpp"
+#include "net/switch.hpp"
 #include "obs/flow_probe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
@@ -31,8 +33,8 @@ using namespace tlbsim;
 
 namespace {
 
-net::UplinkView makeView(int n) {
-  net::UplinkView v;
+std::vector<net::PortView> makeView(int n) {
+  std::vector<net::PortView> v;
   for (int i = 0; i < n; ++i) {
     v.push_back(net::PortView{i, i % 7, ByteCount::fromBytes(i % 7) * 1500});
   }
@@ -110,10 +112,20 @@ void BM_TlbControlTick(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbControlTick);
 
-/// The view materialization the switch performs per decision.
+/// The view refill the switch performs per decision: Switch::uplinkView()
+/// on a 15-uplink group, rewriting the switch's own buffer in place.
 void BM_UplinkViewBuild(benchmark::State& state) {
+  sim::Simulator simr;
+  net::Switch sw(simr, "leaf");
+  std::vector<int> uplinks;
+  for (int i = 0; i < 15; ++i) {
+    uplinks.push_back(sw.addPort(std::make_unique<net::Link>(
+        simr, gbps(1), microseconds(25), net::QueueConfig{})));
+  }
+  sw.setUplinkGroup(std::move(uplinks));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(makeView(15));
+    benchmark::DoNotOptimize(sw.uplinkView().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_UplinkViewBuild);

@@ -103,7 +103,7 @@ double Tlb::smoothedWait(int port, double fallback) const {
   return fallback;
 }
 
-int Tlb::selectUplink(const net::Packet& pkt, const net::UplinkView& uplinks) {
+int Tlb::selectUplink(const net::Packet& pkt, net::UplinkView uplinks) {
   const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
 
   // Flow accounting from SYN/FIN snooping (paper §5). SYN-ACK/FIN-ACK make

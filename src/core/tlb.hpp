@@ -37,8 +37,7 @@ class Tlb final : public net::UplinkSelector {
  public:
   Tlb(const TlbConfig& cfg, int numPaths, std::uint64_t seed);
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override;
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override;
 
   /// Registers the periodic granularity update + idle sweep.
   void attach(net::Switch& sw, sim::Simulator& simr) override;
@@ -70,7 +69,7 @@ class Tlb final : public net::UplinkSelector {
                   const std::string& label);
 
  private:
-  int shortest(const net::UplinkView& uplinks) {
+  int shortest(net::UplinkView uplinks) {
     return uplinks[lb::shortestQueueIndex(uplinks, rng_)].port;
   }
 

@@ -38,8 +38,7 @@ class Conga final : public net::UplinkSelector {
   Conga(std::uint64_t seed, Params params, FlowStateConfig stateCfg = {})
       : rng_(seed), params_(params), flows_(stateCfg) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
     const auto entry = flows_.touch(pkt.flow, now);
     State& st = entry.state;
@@ -73,7 +72,7 @@ class Conga final : public net::UplinkSelector {
   }
 
  private:
-  int leastCongested(const net::UplinkView& uplinks) {
+  int leastCongested(net::UplinkView uplinks) {
     // Normalize DRE against the link rate over the aging window and take
     // max(dre, queue) as the congestion metric, as CONGA does.
     int best = -1;

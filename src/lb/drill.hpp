@@ -14,8 +14,7 @@ class Drill final : public net::UplinkSelector {
   explicit Drill(std::uint64_t seed, int samples = 2)
       : rng_(seed), samples_(samples) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     (void)pkt;
     int bestPort = -1;
     ByteCount bestBytes;
@@ -52,8 +51,7 @@ class ShortestQueue final : public net::UplinkSelector {
  public:
   explicit ShortestQueue(std::uint64_t seed) : rng_(seed) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     (void)pkt;
     return uplinks[shortestQueueIndex(uplinks, rng_)].port;
   }

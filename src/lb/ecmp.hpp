@@ -12,8 +12,7 @@ class Ecmp final : public net::UplinkSelector {
   /// `salt` models the per-switch hash seed real switches use.
   explicit Ecmp(std::uint64_t salt = 0) : salt_(salt) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     const std::uint64_t h = flowHash(pkt.flow, salt_);
     return uplinks[h % uplinks.size()].port;
   }

@@ -30,8 +30,7 @@ class FixedGranularity final : public net::UplinkSelector {
                    FlowStateConfig stateCfg = {})
       : rng_(seed), k_(packetsPerSwitch), target_(target), flows_(stateCfg) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
     State& st = flows_.touch(pkt.flow, now).state;
     const bool granularityHit =

@@ -40,8 +40,7 @@ class HermesLike final : public net::UplinkSelector {
   HermesLike(std::uint64_t seed, Params params, FlowStateConfig stateCfg = {})
       : rng_(seed), params_(params), flows_(stateCfg) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
     State& st = flows_.touch(pkt.flow, now).state;
     if (pkt.payload > 0_B) st.bytesSinceMove += pkt.payload;
@@ -85,7 +84,7 @@ class HermesLike final : public net::UplinkSelector {
  private:
   enum class Condition { kGood, kGray, kBad };
 
-  double waitOf(int port, const net::UplinkView& uplinks) const {
+  double waitOf(int port, net::UplinkView uplinks) const {
     if (auto it = condition_.find(port); it != condition_.end()) {
       return it->second;
     }
@@ -93,7 +92,7 @@ class HermesLike final : public net::UplinkSelector {
     return w >= 0.0 ? w : 0.0;
   }
 
-  Condition classify(int port, const net::UplinkView& uplinks) const {
+  Condition classify(int port, net::UplinkView uplinks) const {
     const double w = waitOf(port, uplinks);
     const double good = toSeconds(params_.goodWait);
     if (w <= good) return Condition::kGood;
@@ -101,7 +100,7 @@ class HermesLike final : public net::UplinkSelector {
     return Condition::kBad;
   }
 
-  int pickGood(const net::UplinkView& uplinks) {
+  int pickGood(net::UplinkView uplinks) {
     // Least smoothed wait, ties random.
     int best = -1;
     double bestWait = 0.0;

@@ -21,8 +21,7 @@ class LetFlow final : public net::UplinkSelector {
           FlowStateConfig stateCfg = {})
       : rng_(seed), timeout_(flowletTimeout), flows_(stateCfg) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
     const auto entry = flows_.touch(pkt.flow, now);
     State& st = entry.state;

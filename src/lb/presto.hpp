@@ -18,8 +18,7 @@ class Presto final : public net::UplinkSelector {
                   FlowStateConfig stateCfg = {})
       : salt_(salt), cellBytes_(flowcellBytes), flows_(stateCfg) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     const SimTime now = sim_ != nullptr ? sim_->now() : SimTime{};
     State& st = flows_.touch(pkt.flow, now).state;
     // The cell is the one owning the packet's FIRST payload byte, so a

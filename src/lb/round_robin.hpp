@@ -11,8 +11,7 @@ class RoundRobin final : public net::UplinkSelector {
  public:
   RoundRobin() = default;
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     (void)pkt;
     next_ = (next_ + 1) % uplinks.size();
     return uplinks[next_].port;

@@ -11,8 +11,7 @@ class Rps final : public net::UplinkSelector {
  public:
   explicit Rps(std::uint64_t seed) : rng_(seed) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     (void)pkt;
     return uplinks[rng_.uniformInt(uplinks.size())].port;
   }

@@ -26,8 +26,7 @@ inline double drainTime(const net::PortView& u) {
 
 /// Index (into `uplinks`) of the port with the least expected wait;
 /// ties are broken uniformly at random so parallel queues don't synchronize.
-inline std::size_t shortestQueueIndex(const net::UplinkView& uplinks,
-                                      Rng& rng) {
+inline std::size_t shortestQueueIndex(net::UplinkView uplinks, Rng& rng) {
   std::size_t best = 0;
   double bestWait = drainTime(uplinks[0]);
   std::size_t nTied = 1;
@@ -47,7 +46,7 @@ inline std::size_t shortestQueueIndex(const net::UplinkView& uplinks,
 }
 
 /// True if `port` is one of the group's port numbers.
-inline bool containsPort(const net::UplinkView& uplinks, int port) {
+inline bool containsPort(net::UplinkView uplinks, int port) {
   for (const auto& u : uplinks) {
     if (u.port == port) return true;
   }
@@ -61,12 +60,12 @@ inline bool containsPort(const net::UplinkView& uplinks, int port) {
 /// re-made. Every scheme shares this one staleness policy: if the fault
 /// model ever grows softer states (draining, probation), this is the
 /// single place to teach selectors about them.
-inline bool portUsable(const net::UplinkView& uplinks, int port) {
+inline bool portUsable(net::UplinkView uplinks, int port) {
   return containsPort(uplinks, port);
 }
 
 /// Queue length in bytes of `port` within the group, or -1 if absent.
-inline ByteCount queueBytesOfPort(const net::UplinkView& uplinks, int port) {
+inline ByteCount queueBytesOfPort(net::UplinkView uplinks, int port) {
   for (const auto& u : uplinks) {
     if (u.port == port) return u.queueBytes;
   }
@@ -74,7 +73,7 @@ inline ByteCount queueBytesOfPort(const net::UplinkView& uplinks, int port) {
 }
 
 /// Expected wait (seconds) behind `port`'s queue, or -1 if absent.
-inline double drainTimeOfPort(const net::UplinkView& uplinks, int port) {
+inline double drainTimeOfPort(net::UplinkView uplinks, int port) {
   for (const auto& u : uplinks) {
     if (u.port == port) return drainTime(u);
   }

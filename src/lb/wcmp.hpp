@@ -15,8 +15,7 @@ class Wcmp final : public net::UplinkSelector {
  public:
   explicit Wcmp(std::uint64_t salt = 0) : salt_(salt) {}
 
-  int selectUplink(const net::Packet& pkt,
-                   const net::UplinkView& uplinks) override {
+  int selectUplink(const net::Packet& pkt, net::UplinkView uplinks) override {
     double total = 0.0;
     for (const auto& u : uplinks) {
       total += weightOf(u);

@@ -3,11 +3,19 @@
 // Capacity and the marking threshold are in packets, matching how the paper
 // (and most DCN switch configs) specify buffers. Queue *length* is exposed
 // in both packets and bytes because load balancers compare queue lengths.
+//
+// Packets live in a power-of-two ring that starts empty, doubles on demand
+// up to the buffer limit and never shrinks: a queue allocates only while
+// it reaches a new high-water depth, never per packet, and an idle port
+// holds no packet storage at all.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "util/check.hpp"
@@ -51,7 +59,7 @@ class DropTailQueue {
     // buffer limit rejects below. Skipping dropped arrivals would freeze
     // the average under saturation exactly when RED needs it highest.
     if (cfg_.marking == QueueConfig::Marking::kRed) updateRedAverage(now);
-    if (static_cast<int>(items_.size()) >= cfg_.capacityPackets) {
+    if (packets() >= cfg_.capacityPackets) {
       ++drops_;
       droppedBytes_ += pkt.size;
       return false;
@@ -61,24 +69,27 @@ class DropTailQueue {
       ++ecnMarks_;
     }
     bytes_ += pkt.size;
-    items_.push_back(Item{pkt, now});
+    if (count_ == ring_.size()) grow();
+    ring_[slot(count_)] = Item{pkt, now};
+    ++count_;
     return true;
   }
 
   /// Pops the head. Precondition: !empty().
   /// `queueDelay` receives the time spent waiting in this queue.
   Packet dequeue(SimTime now, SimTime* queueDelay = nullptr) {
-    TLBSIM_DCHECK(!items_.empty(), "dequeue from an empty queue");
-    Item item = items_.front();
-    items_.pop_front();
+    TLBSIM_DCHECK(count_ > 0, "dequeue from an empty queue");
+    const Item& item = ring_[head_];
+    head_ = slot(1);
+    --count_;
     bytes_ -= item.pkt.size;
-    if (items_.empty()) emptySince_ = now;
+    if (count_ == 0) emptySince_ = now;
     if (queueDelay != nullptr) *queueDelay = now - item.enqueuedAt;
     return item.pkt;
   }
 
-  bool empty() const { return items_.empty(); }
-  int packets() const { return static_cast<int>(items_.size()); }
+  bool empty() const { return count_ == 0; }
+  int packets() const { return static_cast<int>(count_); }
   ByteCount bytes() const { return bytes_; }
 
   std::uint64_t drops() const { return drops_; }
@@ -86,6 +97,10 @@ class DropTailQueue {
   std::uint64_t ecnMarks() const { return ecnMarks_; }
 
   const QueueConfig& config() const { return cfg_; }
+
+  /// Packet slots allocated so far: 0 until the first enqueue, then a
+  /// power of two no larger than the buffer limit rounded up.
+  std::size_t slotCapacity() const { return ring_.size(); }
 
   /// RED's averaged queue length (packets); kInstantaneous mode keeps it
   /// at 0.
@@ -95,7 +110,7 @@ class DropTailQueue {
   /// invariant audit to cross-check the incremental `bytes_` counter.
   ByteCount recomputeBytes() const {
     ByteCount total;
-    for (const auto& item : items_) total += item.pkt.size;
+    for (std::size_t i = 0; i < count_; ++i) total += ring_[slot(i)].pkt.size;
     return total;
   }
 
@@ -105,20 +120,42 @@ class DropTailQueue {
     SimTime enqueuedAt;
   };
 
+  /// Ring slot of the i-th oldest packet.
+  std::size_t slot(std::size_t i) const {
+    return (head_ + i) & (ring_.size() - 1);
+  }
+
+  /// Smallest ring a queue allocates on its first enqueue.
+  static constexpr std::size_t kMinRing = 8;
+
+  /// Doubles the ring (first call: kMinRing slots), unrolling the stored
+  /// packets to the front. Never exceeds the buffer limit rounded up to a
+  /// power of two, because enqueue only grows a full ring below the limit.
+  void grow() {
+    const std::size_t limit =
+        std::bit_ceil(static_cast<std::size_t>(cfg_.capacityPackets));
+    const std::size_t size =
+        ring_.empty() ? std::min(kMinRing, limit) : 2 * ring_.size();
+    std::vector<Item> bigger(size);
+    for (std::size_t i = 0; i < count_; ++i) bigger[i] = ring_[slot(i)];
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
   void updateRedAverage(SimTime now) {
-    if (items_.empty() && cfg_.redIdleSlot > SimTime{} && now > emptySince_) {
+    if (count_ == 0 && cfg_.redIdleSlot > SimTime{} && now > emptySince_) {
       const double idleSamples = static_cast<double>((now - emptySince_).ns()) /
                                  static_cast<double>(cfg_.redIdleSlot.ns());
       avgQueue_ *= std::pow(1.0 - cfg_.redWeight, idleSamples);
     }
     avgQueue_ = (1.0 - cfg_.redWeight) * avgQueue_ +
-                cfg_.redWeight * static_cast<double>(items_.size());
+                cfg_.redWeight * static_cast<double>(count_);
   }
 
   bool shouldMark(const Packet& pkt) {
     if (cfg_.ecnThresholdPackets <= 0 || !pkt.ecnCapable) return false;
     if (cfg_.marking == QueueConfig::Marking::kInstantaneous) {
-      return static_cast<int>(items_.size()) >= cfg_.ecnThresholdPackets;
+      return packets() >= cfg_.ecnThresholdPackets;
     }
     // Gentle RED on the EWMA-averaged queue: minTh = K, maxTh = 3K.
     const double minTh = cfg_.ecnThresholdPackets;
@@ -132,7 +169,9 @@ class DropTailQueue {
 
   QueueConfig cfg_;
   Rng redRng_;
-  std::deque<Item> items_;
+  std::vector<Item> ring_;  ///< power-of-two slots; empty until first use
+  std::size_t head_ = 0;    ///< slot of the oldest packet
+  std::size_t count_ = 0;   ///< packets stored
   ByteCount bytes_;
   double avgQueue_ = 0.0;
   SimTime emptySince_;  ///< when the queue last drained (starts empty at 0)

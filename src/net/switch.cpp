@@ -37,20 +37,19 @@ void Switch::setSelector(std::unique_ptr<UplinkSelector> selector) {
   if (selector_) selector_->attach(*this, sim_);
 }
 
-UplinkView Switch::uplinkView() const {
-  UplinkView view;
-  view.reserve(uplinks_.size());
+UplinkView Switch::uplinkView() {
+  viewBuf_.clear();
   for (int p : uplinks_) {
     const Link& link = *ports_[static_cast<std::size_t>(p)];
     // Downed ports are masked out: selectors never see them, so every
     // scheme stops choosing a dead uplink on its next selection. Rate and
     // delay reflect active degradation faults.
     if (!link.up()) continue;
-    view.push_back(PortView{p, link.queuePackets(), link.queueBytes(),
-                            link.effectiveRate().bitsPerSecond(),
-                            toSeconds(link.effectiveDelay())});
+    viewBuf_.push_back(PortView{p, link.queuePackets(), link.queueBytes(),
+                                link.effectiveRate().bitsPerSecond(),
+                                toSeconds(link.effectiveDelay())});
   }
-  return view;
+  return viewBuf_;
 }
 
 void Switch::receive(Packet pkt, int inPort) {

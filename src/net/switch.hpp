@@ -32,7 +32,10 @@ class Switch : public Node {
   void routeViaUplinks(HostId dstHost);
 
   /// Declare which ports form the equal-cost uplink group.
-  void setUplinkGroup(std::vector<int> ports) { uplinks_ = std::move(ports); }
+  void setUplinkGroup(std::vector<int> ports) {
+    uplinks_ = std::move(ports);
+    viewBuf_.reserve(uplinks_.size());
+  }
   const std::vector<int>& uplinkGroup() const { return uplinks_; }
 
   /// Install the load-balancing scheme (calls selector->attach()).
@@ -49,8 +52,11 @@ class Switch : public Node {
 
   sim::Simulator& simulator() { return sim_; }
 
-  /// Materialize queue views for the current uplink group.
-  UplinkView uplinkView() const;
+  /// Current queue state of the uplink group's live ports (downed ports
+  /// are masked out; rate and delay include degradation faults). The view
+  /// borrows a buffer the switch refills in place, so it stays valid only
+  /// until the next uplinkView() call on this switch.
+  UplinkView uplinkView();
 
   std::uint64_t forwardedPackets() const { return forwarded_; }
   std::uint64_t unroutablePackets() const { return unroutable_; }
@@ -82,6 +88,7 @@ class Switch : public Node {
   std::vector<std::unique_ptr<Link>> ports_;
   std::vector<int> routes_;  // dst host -> port | kViaUplinks | kNoRoute
   std::vector<int> uplinks_;
+  std::vector<PortView> viewBuf_;  ///< backs uplinkView(); never shrinks
   std::unique_ptr<UplinkSelector> selector_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t unroutable_ = 0;

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "net/packet.hpp"
 #include "util/units.hpp"
@@ -40,17 +40,22 @@ struct PortView {
   double linkDelaySec = 0.0; ///< one-way propagation of this cable
 };
 
-/// The candidate uplinks for a routing decision. Views are materialized
-/// fresh for every decision so schemes always see current queue state.
-using UplinkView = std::vector<PortView>;
+/// The candidate uplinks for a routing decision, borrowed from whoever
+/// built them. Switch::uplinkView() refills one buffer the switch owns, so
+/// a view it returns stays valid only until the next uplinkView() call on
+/// the same switch; selectors must not keep it past the call it came in.
+/// Any contiguous PortView storage (a std::vector in tests) converts
+/// implicitly.
+using UplinkView = std::span<const PortView>;
 
 class UplinkSelector {
  public:
   virtual ~UplinkSelector() = default;
 
-  /// Pick an uplink (index *into uplinks*, not a port number is NOT used --
-  /// implementations must return one of `uplinks[i].port`).
-  virtual int selectUplink(const Packet& pkt, const UplinkView& uplinks) = 0;
+  /// Pick an uplink for `pkt`. Returns a port number, which must be one of
+  /// `uplinks[i].port` (not an index into `uplinks`). `uplinks` is never
+  /// empty.
+  virtual int selectUplink(const Packet& pkt, UplinkView uplinks) = 0;
 
   /// Called once when installed into a switch. Schemes with control loops
   /// (e.g. TLB's periodic granularity update) register timers here.

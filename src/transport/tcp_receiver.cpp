@@ -52,28 +52,10 @@ void TcpReceiver::acceptData(const net::Packet& pkt) {
   bool inOrder = false;
 
   if (start > cumAck_) {
-    // Hole before this segment: buffer it (merge overlapping ranges).
+    // Hole before this segment: buffer it.
     ++outOfOrder_;
     if (flowProbe_ != nullptr) flowProbe_->onOutOfOrder(flow_.id, sim_.now());
-    auto [it, inserted] = segments_.try_emplace(start, end);
-    if (!inserted) {
-      it->second = std::max(it->second, end);
-    } else {
-      // Merge with predecessor/successor ranges if they overlap.
-      if (it != segments_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= it->first) {
-          prev->second = std::max(prev->second, it->second);
-          it = segments_.erase(it);
-          it = prev;
-        }
-      }
-      auto next = std::next(it);
-      while (next != segments_.end() && next->first <= it->second) {
-        it->second = std::max(it->second, next->second);
-        next = segments_.erase(next);
-      }
-    }
+    bufferRange(start, end);
   } else if (end > cumAck_) {
     inOrder = true;
     cumAck_ = end;
@@ -81,12 +63,34 @@ void TcpReceiver::acceptData(const net::Packet& pkt) {
     auto it = segments_.begin();
     while (it != segments_.end() && it->first <= cumAck_) {
       cumAck_ = std::max(cumAck_, it->second);
-      it = segments_.erase(it);
+      ++it;
     }
+    segments_.erase(segments_.begin(), it);
   }
   // else: fully duplicate segment (spurious retransmit); still ACK it.
 
   ackPolicy(pkt, inOrder);
+}
+
+void TcpReceiver::bufferRange(std::uint64_t start, std::uint64_t end) {
+  // The first range that can meet [start, end): the predecessor if it
+  // reaches start, else the first range starting at or after start.
+  auto it = std::lower_bound(
+      segments_.begin(), segments_.end(), start,
+      [](const ByteRange& r, std::uint64_t s) { return r.first < s; });
+  if (it != segments_.begin() && std::prev(it)->second >= start) --it;
+  if (it == segments_.end() || it->first > end) {
+    segments_.insert(it, ByteRange{start, end});
+    return;
+  }
+  it->first = std::min(it->first, start);
+  it->second = std::max(it->second, end);
+  auto next = std::next(it);
+  while (next != segments_.end() && next->first <= it->second) {
+    it->second = std::max(it->second, next->second);
+    ++next;
+  }
+  segments_.erase(std::next(it), next);
 }
 
 void TcpReceiver::ackPolicy(const net::Packet& pkt, bool inOrder) {

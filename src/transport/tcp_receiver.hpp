@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
@@ -37,6 +39,12 @@ class TcpReceiver : public net::PacketHandler {
   std::uint64_t cumulativeAck() const { return cumAck_; }
   bool finReceived() const { return finSeen_; }
 
+  /// One buffered out-of-order byte range, [first, second).
+  using ByteRange = std::pair<std::uint64_t, std::uint64_t>;
+  /// The out-of-order ranges held beyond cumulativeAck(): sorted, disjoint
+  /// and non-adjacent. Valid until the next packet arrives.
+  std::span<const ByteRange> bufferedRanges() const { return segments_; }
+
   const FlowSpec& flow() const { return flow_; }
 
   /// Wire the per-flow decision probe: each out-of-order data arrival is
@@ -46,6 +54,9 @@ class TcpReceiver : public net::PacketHandler {
 
  private:
   void acceptData(const net::Packet& pkt);
+  /// Adds [start, end) to segments_, coalescing every range it overlaps
+  /// or touches.
+  void bufferRange(std::uint64_t start, std::uint64_t end);
   /// Decide whether to coalesce or emit an ACK for this data packet.
   /// `inOrder` is false for out-of-order/duplicate arrivals, which always
   /// flush immediately (RFC 5681) so senders see dup-ACKs promptly.
@@ -60,8 +71,11 @@ class TcpReceiver : public net::PacketHandler {
   TcpParams params_;
 
   std::uint64_t cumAck_ = 0;  ///< next byte expected
-  /// Out-of-order segments beyond cumAck_: start -> end (exclusive).
-  std::map<std::uint64_t, std::uint64_t> segments_;
+  /// Out-of-order ranges beyond cumAck_, sorted by start. A flat vector
+  /// rather than a node map: its capacity is reused for the life of the
+  /// flow, so reordering allocates only when a flow reaches a new maximum
+  /// number of holes.
+  std::vector<ByteRange> segments_;
 
   std::uint64_t dataPackets_ = 0;
   std::uint64_t outOfOrder_ = 0;

@@ -61,8 +61,8 @@ TEST(DeadlineTracker, ReservoirStaysBounded) {
 
 // ------------------------------------- integration with TLB ------------
 
-net::UplinkView makeView(int n) {
-  net::UplinkView v;
+std::vector<net::PortView> makeView(int n) {
+  std::vector<net::PortView> v;
   for (int i = 0; i < n; ++i) {
     v.push_back(net::PortView{i, 0, 0_B, 1e9, 0.0});
   }

@@ -11,8 +11,8 @@
 namespace tlbsim::core {
 namespace {
 
-net::UplinkView makeView(std::vector<ByteCount> queueBytes) {
-  net::UplinkView v;
+std::vector<net::PortView> makeView(std::vector<ByteCount> queueBytes) {
+  std::vector<net::PortView> v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
     v.push_back(net::PortView{static_cast<int>(i),
                               static_cast<int>(queueBytes[i] / 1500_B),

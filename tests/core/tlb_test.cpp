@@ -8,8 +8,8 @@
 namespace tlbsim::core {
 namespace {
 
-net::UplinkView makeView(std::vector<ByteCount> queueBytes) {
-  net::UplinkView v;
+std::vector<net::PortView> makeView(std::vector<ByteCount> queueBytes) {
+  std::vector<net::PortView> v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
     v.push_back(net::PortView{static_cast<int>(i),
                               static_cast<int>(queueBytes[i] / 1500_B),
@@ -74,7 +74,7 @@ TEST(Tlb, LongFlowSticksBelowThreshold) {
   Tlb tlb(config(/*qthOverride=*/50000_B), 3, 1);
   tlb.selectUplink(packet(1, net::PacketType::kSyn), makeView({0_B, 0_B, 0_B}));
   // Push the flow across the 100 KB classification boundary.
-  net::UplinkView v = makeView({0_B, 0_B, 0_B});
+  std::vector<net::PortView> v = makeView({0_B, 0_B, 0_B});
   int port = -1;
   for (int i = 0; i < 80; ++i) {
     port = tlb.selectUplink(packet(1, net::PacketType::kData, 1460_B), v);
@@ -194,7 +194,7 @@ TEST(Tlb, LongFlowRelocatesWhenPortVanishes) {
                      makeView({0_B, 0_B, 0_B}));
   }
   // Present a view whose ports don't include the flow's current one.
-  net::UplinkView v;
+  std::vector<net::PortView> v;
   v.push_back(net::PortView{7, 0, 0_B});
   v.push_back(net::PortView{8, 0, 100_B});
   const int p = tlb.selectUplink(packet(1, net::PacketType::kData, 1460_B), v);

@@ -10,9 +10,9 @@
 namespace tlbsim::lb {
 namespace {
 
-net::UplinkView makeView(std::vector<ByteCount> queueBytes,
-                         std::vector<double> ratesBps = {}) {
-  net::UplinkView v;
+std::vector<net::PortView> makeView(std::vector<ByteCount> queueBytes,
+                                    std::vector<double> ratesBps = {}) {
+  std::vector<net::PortView> v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
     const double rate = i < ratesBps.size() ? ratesBps[i] : 1e9;
     v.push_back(net::PortView{static_cast<int>(i),

@@ -5,34 +5,12 @@
 // perturb other tests.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "../alloc_counter.hpp"
 #include "lb/flow_state_table.hpp"
 #include "util/rng.hpp"
 
-namespace {
-std::atomic<unsigned long long> g_newCalls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_newCalls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace tlbsim::lb {
 namespace {
-
-unsigned long long newCalls() {
-  return g_newCalls.load(std::memory_order_relaxed);
-}
 
 struct Payload {
   std::uint64_t bytes = 0;

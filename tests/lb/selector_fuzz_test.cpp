@@ -35,7 +35,7 @@ TEST_P(SelectorFuzz, AlwaysReturnsPortFromGroup) {
     // Random group: 2..16 ports with arbitrary port numbers, queue
     // states, rates, and cable delays.
     const int n = static_cast<int>(rng.uniformInt(2, 16));
-    net::UplinkView view;
+    std::vector<net::PortView> view;
     int port = static_cast<int>(rng.uniformInt(0, 3));
     for (int i = 0; i < n; ++i) {
       net::PortView u;

@@ -14,8 +14,9 @@
 namespace tlbsim::lb {
 namespace {
 
-net::UplinkView makeView(std::vector<ByteCount> queueBytes, int firstPort = 0) {
-  net::UplinkView v;
+std::vector<net::PortView> makeView(std::vector<ByteCount> queueBytes,
+                                    int firstPort = 0) {
+  std::vector<net::PortView> v;
   for (std::size_t i = 0; i < queueBytes.size(); ++i) {
     v.push_back(net::PortView{firstPort + static_cast<int>(i),
                               static_cast<int>(queueBytes[i] / 1500_B),

@@ -21,9 +21,9 @@ class SinkNode : public Node {
 class FixedSelector : public UplinkSelector {
  public:
   explicit FixedSelector(int port) : port_(port) {}
-  int selectUplink(const Packet& pkt, const UplinkView& uplinks) override {
+  int selectUplink(const Packet& pkt, UplinkView uplinks) override {
     lastPacket = pkt;
-    lastView = uplinks;
+    lastView.assign(uplinks.begin(), uplinks.end());
     ++calls;
     return port_;
   }
@@ -31,7 +31,7 @@ class FixedSelector : public UplinkSelector {
 
   int calls = 0;
   Packet lastPacket;
-  UplinkView lastView;
+  std::vector<PortView> lastView;  ///< a copy: the switch reuses its buffer
 
  private:
   int port_;

@@ -5,34 +5,13 @@
 // the sanitizer's malloc.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "../alloc_counter.hpp"
 #include "sim/scheduler.hpp"
-
-namespace {
-std::atomic<unsigned long long> g_newCalls{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_newCalls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tlbsim::sim {
 namespace {
-
-unsigned long long newCalls() {
-  return g_newCalls.load(std::memory_order_relaxed);
-}
 
 TEST(AllocCount, CounterSeesHeapFallback) {
   // Sanity-check the instrumentation itself: an over-budget closure must

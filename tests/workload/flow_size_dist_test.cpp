@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -91,9 +92,11 @@ TEST(FlowSizeDist, CapPreservesSmallFlowShape) {
   }
 }
 
-// Empirical sample mean must converge to the analytic mean.
+// Empirical sample mean must converge to the analytic mean. The case label
+// is a std::string, not a const char*: gtest prints a char pointer with its
+// address, which would make the test names differ from build to build.
 class DistMeanSweep
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(DistMeanSweep, SampleMeanMatchesAnalytic) {
   const auto [name, which] = GetParam();
@@ -115,8 +118,10 @@ TEST_P(DistMeanSweep, SampleMeanMatchesAnalytic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Dists, DistMeanSweep,
-    ::testing::Values(std::pair{"websearch", 0}, std::pair{"datamining", 1},
-                      std::pair{"uniform", 2}, std::pair{"fixed", 3}));
+    ::testing::Values(std::pair<std::string, int>{"websearch", 0},
+                      std::pair<std::string, int>{"datamining", 1},
+                      std::pair<std::string, int>{"uniform", 2},
+                      std::pair<std::string, int>{"fixed", 3}));
 
 }  // namespace
 }  // namespace tlbsim::workload

@@ -38,6 +38,15 @@ std-function-hot-path
     on. Cold-path uses (setup-time factories, topology iteration) carry
     an explicit allow() stating why they are not hot.
 
+hot-path-container
+    No std::deque, std::map, std::multimap, std::set or std::list in
+    src/sim, src/net or src/transport: those containers allocate a heap
+    node per element (std::deque a block every few elements), so on the
+    event and packet paths they cost an allocation per packet. Queues
+    there are power-of-two rings, ordered small sets are sorted flat
+    vectors, and both reuse their capacity. A genuinely cold use carries
+    an explicit allow() stating why it is not on the packet path.
+
 installobs-wiring
     Every component declaring an `installObs(...)` hook must be wired up
     by the experiment harness (src/harness/) or the CLI (tools/): a hook
@@ -128,6 +137,10 @@ SCHEDULE_CALL_RE = re.compile(r"\b(schedule|post|postAt|every)\s*\(")
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 # The per-event / per-packet directories where std::function is banned.
 HOT_PATH_DIRS = (("src", "sim"), ("src", "net"), ("src", "transport"))
+
+# Node-per-element standard containers, banned in the same directories.
+HOT_PATH_CONTAINER_RE = re.compile(
+    r"\bstd\s*::\s*(deque|map|multimap|set|list)\s*<")
 
 FAULT_MUTATION_RE = re.compile(
     r"\bfault(Down|Up|SetRateFactor|SetDelayFactor|SetDropProb)\s*\(")
@@ -375,6 +388,17 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "captures, no per-call heap), or allow() with a "
                     "cold-path justification"))
 
+        # --- hot-path-container ---------------------------------------
+        if rel.parts[:2] in HOT_PATH_DIRS:
+            m = HOT_PATH_CONTAINER_RE.search(code)
+            if m and not allowed(raw, "hot-path-container", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "hot-path-container",
+                    f"std::{m.group(1)} on a hot-path directory allocates "
+                    "per element; use a ring buffer or a sorted flat "
+                    "std::vector that reuses its capacity, or allow() "
+                    "with a cold-path justification"))
+
         # --- bench-direct-experiment ----------------------------------
         if in_bench:
             m = DIRECT_EXPERIMENT_RE.search(code)
@@ -482,6 +506,23 @@ SELF_TEST_CASES = [
      "std::function<void(const Packet&)> filter_;\n"),
     (None, "src/net/x.hpp", "util::InlineFunction<void()> hook_;\n"),
     (None, "src/sim/x.cpp", "// std::function is banned here\n"),
+    # hot-path-container: no node-per-element containers on the paths.
+    ("hot-path-container", "src/net/x.hpp", "std::deque<Item> items_;\n"),
+    ("hot-path-container", "src/transport/x.hpp",
+     "std::map<std::uint64_t, std::uint64_t> segments_;\n"),
+    ("hot-path-container", "src/sim/x.hpp",
+     "std::multimap<SimTime, Event> events_;\n"),
+    ("hot-path-container", "src/net/x.cpp", "std::set<int> ports;\n"),
+    ("hot-path-container", "src/transport/x.cpp",
+     "std::list<Packet> pending_;\n"),
+    (None, "src/net/x.hpp", "std::vector<Item> ring_;\n"),
+    (None, "src/net/x.hpp", "std::unordered_map<FlowId, int> flows_;\n"),
+    (None, "src/harness/x.cpp", "std::map<std::string, int> names;\n"),
+    (None, "src/obs/x.hpp", "std::deque<Event> ring_;\n"),
+    (None, "src/net/x.hpp", "// std::deque allocates per block\n"),
+    (None, "src/net/x.cpp",
+     "// setup only. tlbsim-lint: allow(hot-path-container)\n"
+     "std::map<std::string, int> byName;\n"),
     # flowid-map: per-flow state in lb/core lives in FlowStateTable.
     ("flowid-map", "src/lb/x.hpp",
      "std::unordered_map<FlowId, State> flows_;\n"),
