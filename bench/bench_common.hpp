@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -85,6 +87,44 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// The host a result was measured on, as a JSON object: core count, CPU
+/// model, compiler and the CMake build type the bench was compiled with.
+inline std::string hostJson() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"nproc\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\", "
+                "\"build_type\": \"%s\"}",
+                std::thread::hardware_concurrency(), cpu.c_str(), __VERSION__,
+                TLBSIM_BUILD_TYPE);
+  return buf;
+}
+
+/// HEAD of the git checkout the bench runs in, suffixed "-dirty" when
+/// tracked files differ from it; "none" outside a checkout.
+inline std::string gitRevision() {
+  std::FILE* p = popen(
+      "git describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null",
+      "r");
+  if (p == nullptr) return "none";
+  char buf[96] = {};
+  const bool got = std::fgets(buf, sizeof buf, p) != nullptr;
+  const int status = pclose(p);
+  std::string rev = got && status == 0 ? buf : "none";
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
+    rev.pop_back();
+  }
+  return rev;
 }
 
 /// `count` consecutive seeds starting at `base` (the repetition axis of a

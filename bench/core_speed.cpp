@@ -4,19 +4,26 @@
 // cancellation — embedded below verbatim, so the comparison is
 // self-contained and reruns on any machine).
 //
-// Two measurements land in BENCH_core_speed.json:
+// Three measurements land in BENCH_core_speed.json:
 //
-//   micro  both cores drive the identical churn workload — bursts of
-//          fire-once events plus RTO-style timers that are re-armed
-//          (cancelled + rescheduled) far more often than they fire.
-//          Reported as events/sec; the headline number is the speedup,
-//          gated at >= 1.5x by the CI core-speed-smoke job.
-//   macro  a fig10-style web-search sweep through runner::runSweep with
-//          the real simulator (new core only): the end-to-end wall-clock
-//          a scheduler change actually buys.
+//   micro       both cores drive the identical churn workload — bursts of
+//               fire-once events plus RTO-style timers that are re-armed
+//               (cancelled + rescheduled) far more often than they fire.
+//               Only about 20 events are pending at a time.
+//   population  both cores replay the perfbench scheduler mix at a real
+//               simulation's pending-event population: 192 self-re-posting
+//               packet-like events (1 ns .. 25 us delays), a 10 ms timer
+//               re-armed on 6.2% of events (websearch_tlb's measured rate)
+//               and a 500 us periodic tick.
+//   macro       a fig10-style web-search sweep through runner::runSweep
+//               with the real simulator (new core only): the end-to-end
+//               wall-clock a scheduler change actually buys.
 //
-// Default: 2M micro events and a 1-scheme macro point (seconds); --full
-// raises the micro count to 10M and runs the fig10 default grid.
+// Micro and population report events/sec for each core; the speedup on
+// each is gated at >= 1.5x, here and by the CI core-speed-smoke job.
+// Default: 2M events per case and a 1-scheme macro point (seconds);
+// --full raises the event counts to 10M and runs the fig10 default grid.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -117,7 +124,7 @@ class Scheduler {
 struct NewCore {
   static constexpr const char* kName = "indexed_heap";
   sim::Scheduler s;
-  sim::EventHandle timers[4];
+  std::array<sim::EventHandle, 64> timers;
   template <typename F>
   void post(SimTime d, F&& f) {
     s.post(d, std::forward<F>(f));
@@ -127,6 +134,7 @@ struct NewCore {
     timers[i] = s.schedule(d, std::forward<F>(f));  // re-assign cancels
   }
   void runTo(SimTime t) { s.run(t); }
+  void step() { s.step(); }
   SimTime now() const { return s.now(); }
   std::uint64_t executed() const { return s.executedEvents(); }
 };
@@ -134,7 +142,7 @@ struct NewCore {
 struct LegacyCore {
   static constexpr const char* kName = "seed_priority_queue";
   legacy::Scheduler s;
-  legacy::EventId timers[4] = {0, 0, 0, 0};
+  std::array<legacy::EventId, 64> timers{};
   template <typename F>
   void post(SimTime d, F&& f) {
     s.schedule(d, std::forward<F>(f));
@@ -145,6 +153,7 @@ struct LegacyCore {
     timers[i] = s.schedule(d, std::forward<F>(f));
   }
   void runTo(SimTime t) { s.run(t); }
+  void step() { s.step(); }
   SimTime now() const { return s.now(); }
   std::uint64_t executed() const { return s.executedEvents(); }
 };
@@ -181,6 +190,70 @@ MicroResult runChurn(std::uint64_t targetEvents, std::uint64_t seed) {
   r.events = core.executed();
   r.wallSec = std::chrono::duration<double>(t1 - t0).count();
   return r;
+}
+
+/// The perfbench scheduler replay, over either core: every fired packet
+/// event re-posts itself with the next delay from a fixed table, so the
+/// pending population stays at its prefill size.
+template <typename Core>
+class PopulationReplay {
+ public:
+  static constexpr std::size_t kPopulation = 192;
+  static constexpr double kRearmPerEvent = 0.0624;
+
+  explicit PopulationReplay(std::uint64_t seed) {
+    Rng rng(seed);
+    for (std::size_t i = 0; i < kTable; ++i) {
+      delays_[i] = SimTime::fromNs(rng.uniformInt(1, 25'000));
+      rearm_[i] = rng.uniform() < kRearmPerEvent;
+    }
+    for (std::size_t i = 0; i < kPopulation; ++i) {
+      core_.post(delays_[i], [this] { fire(); });
+    }
+    tick();
+  }
+  // Pending closures hold `this`.
+  PopulationReplay(const PopulationReplay&) = delete;
+  PopulationReplay& operator=(const PopulationReplay&) = delete;
+
+  MicroResult run(std::uint64_t targetEvents) {
+    const std::uint64_t before = core_.executed();
+    const auto t0 = std::chrono::steady_clock::now();
+    while (core_.executed() - before < targetEvents) core_.step();
+    const auto t1 = std::chrono::steady_clock::now();
+    MicroResult r;
+    r.events = core_.executed() - before;
+    r.wallSec = std::chrono::duration<double>(t1 - t0).count();
+    return r;
+  }
+
+ private:
+  static constexpr std::size_t kTable = 4096;
+
+  void fire() {
+    const std::size_t i = next_++ % kTable;
+    core_.post(delays_[i], [this] { fire(); });
+    if (rearm_[i]) {
+      core_.armTimer(i % core_.timers.size(), milliseconds(10), [] {});
+    }
+  }
+  void tick() {
+    core_.post(microseconds(500), [this] { tick(); });
+  }
+
+  Core core_;
+  std::array<SimTime, kTable> delays_;
+  std::array<bool, kTable> rearm_{};
+  std::size_t next_ = 0;
+};
+
+/// Warm a replay up (slot pool and heap at their high-water mark), then
+/// time `targetEvents` more.
+template <typename Core>
+MicroResult runPopulation(std::uint64_t targetEvents, std::uint64_t seed) {
+  PopulationReplay<Core> replay(seed);
+  (void)replay.run(targetEvents / 10 + 1000);
+  return replay.run(targetEvents);
 }
 
 double runMacro(const BenchArgs& args, int* runsOut) {
@@ -225,29 +298,72 @@ double runMacro(const BenchArgs& args, int* runsOut) {
 
 using namespace tlbsim;
 
+namespace {
+
+constexpr double kTargetSpeedup = 1.5;
+
+struct Comparison {
+  explicit Comparison(const char* key) : name(key) {}
+  const char* name;  ///< JSON key
+  bench::MicroResult legacy;
+  bench::MicroResult indexed;
+  double speedup() const {
+    return indexed.eventsPerSec() / legacy.eventsPerSec();
+  }
+};
+
+void printComparison(const char* label, const Comparison& c) {
+  std::printf("  %s:\n", label);
+  std::printf("    %-22s %12.0f events/s (%llu events, %.2f s)\n",
+              bench::LegacyCore::kName, c.legacy.eventsPerSec(),
+              static_cast<unsigned long long>(c.legacy.events),
+              c.legacy.wallSec);
+  std::printf("    %-22s %12.0f events/s (%llu events, %.2f s)\n",
+              bench::NewCore::kName, c.indexed.eventsPerSec(),
+              static_cast<unsigned long long>(c.indexed.events),
+              c.indexed.wallSec);
+  std::printf("    speedup: %.2fx (target >= %.1fx)\n", c.speedup(),
+              kTargetSpeedup);
+}
+
+void writeComparison(std::FILE* f, const Comparison& c) {
+  std::fprintf(f,
+               "  \"%s\": {\n"
+               "    \"seed_priority_queue\": {\"events\": %llu, "
+               "\"wall_s\": %.4f, \"events_per_sec\": %.0f},\n"
+               "    \"indexed_heap\": {\"events\": %llu, "
+               "\"wall_s\": %.4f, \"events_per_sec\": %.0f},\n"
+               "    \"speedup\": %.3f,\n"
+               "    \"target_speedup\": %.1f\n"
+               "  },\n",
+               c.name, static_cast<unsigned long long>(c.legacy.events),
+               c.legacy.wallSec, c.legacy.eventsPerSec(),
+               static_cast<unsigned long long>(c.indexed.events),
+               c.indexed.wallSec, c.indexed.eventsPerSec(), c.speedup(),
+               kTargetSpeedup);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-  const std::uint64_t microEvents = args.full ? 10'000'000 : 2'000'000;
+  const std::uint64_t events = args.full ? 10'000'000 : 2'000'000;
   std::printf("Event-core speed: indexed 4-ary heap vs seed scheduler\n");
 
   // Interleave warm-up/measure per core so neither benefits from running
   // second on a warmed allocator.
-  (void)bench::runChurn<bench::LegacyCore>(microEvents / 10, args.seed);
-  const bench::MicroResult legacy =
-      bench::runChurn<bench::LegacyCore>(microEvents, args.seed);
-  (void)bench::runChurn<bench::NewCore>(microEvents / 10, args.seed);
-  const bench::MicroResult indexed =
-      bench::runChurn<bench::NewCore>(microEvents, args.seed);
-  const double speedup = indexed.eventsPerSec() / legacy.eventsPerSec();
+  Comparison micro("micro");
+  (void)bench::runChurn<bench::LegacyCore>(events / 10, args.seed);
+  micro.legacy = bench::runChurn<bench::LegacyCore>(events, args.seed);
+  (void)bench::runChurn<bench::NewCore>(events / 10, args.seed);
+  micro.indexed = bench::runChurn<bench::NewCore>(events, args.seed);
+  printComparison("micro (churn, ~20 pending)", micro);
 
-  std::printf("  %-22s %12.0f events/s (%llu events, %.2f s)\n",
-              bench::LegacyCore::kName, legacy.eventsPerSec(),
-              static_cast<unsigned long long>(legacy.events), legacy.wallSec);
-  std::printf("  %-22s %12.0f events/s (%llu events, %.2f s)\n",
-              bench::NewCore::kName, indexed.eventsPerSec(),
-              static_cast<unsigned long long>(indexed.events),
-              indexed.wallSec);
-  std::printf("  speedup: %.2fx (target >= 1.5x)\n", speedup);
+  Comparison population("population");
+  population.legacy =
+      bench::runPopulation<bench::LegacyCore>(events, args.seed);
+  population.indexed = bench::runPopulation<bench::NewCore>(events, args.seed);
+  printComparison("population (perfbench replay, 192 pending)", population);
 
   int macroRuns = 0;
   const double macroWall = bench::runMacro(args, &macroRuns);
@@ -264,35 +380,33 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"core_speed\",\n"
-               "  \"config\": {\"micro_events\": %llu, \"seed\": %llu, "
-               "\"full\": %s},\n"
-               "  \"micro\": {\n"
-               "    \"seed_priority_queue\": {\"events\": %llu, "
-               "\"wall_s\": %.4f, \"events_per_sec\": %.0f},\n"
-               "    \"indexed_heap\": {\"events\": %llu, "
-               "\"wall_s\": %.4f, \"events_per_sec\": %.0f},\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"target_speedup\": 1.5\n"
-               "  },\n"
+               "  \"host\": %s,\n"
+               "  \"git_rev\": \"%s\",\n"
+               "  \"config\": {\"events\": %llu, \"seed\": %llu, "
+               "\"full\": %s, \"population\": %zu},\n",
+               bench::hostJson().c_str(), bench::gitRevision().c_str(),
+               static_cast<unsigned long long>(events),
+               static_cast<unsigned long long>(args.seed),
+               args.full ? "true" : "false",
+               bench::PopulationReplay<bench::NewCore>::kPopulation);
+  writeComparison(f, micro);
+  writeComparison(f, population);
+  std::fprintf(f,
                "  \"macro\": {\"scenario\": \"fig10_websearch %s\", "
                "\"runs\": %d, \"jobs\": %d, \"wall_s\": %.3f}\n"
                "}\n",
-               static_cast<unsigned long long>(microEvents),
-               static_cast<unsigned long long>(args.seed),
-               args.full ? "true" : "false",
-               static_cast<unsigned long long>(legacy.events), legacy.wallSec,
-               legacy.eventsPerSec(),
-               static_cast<unsigned long long>(indexed.events),
-               indexed.wallSec, indexed.eventsPerSec(), speedup,
-               args.full ? "default grid" : "tlb @ load 0.8",
-               macroRuns, args.jobs != 0 ? args.jobs : 1, macroWall);
+               args.full ? "default grid" : "tlb @ load 0.8", macroRuns,
+               args.jobs != 0 ? args.jobs : 1, macroWall);
   std::fclose(f);
   std::printf("results JSON written to %s\n", jsonPath.c_str());
 
-  if (speedup < 1.5) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below the 1.5x target\n",
-                 speedup);
-    return 1;
+  bool ok = true;
+  for (const Comparison* c : {&micro, &population}) {
+    if (c->speedup() < kTargetSpeedup) {
+      std::fprintf(stderr, "FAIL: %s speedup %.2fx below the %.1fx target\n",
+                   c->name, c->speedup(), kTargetSpeedup);
+      ok = false;
+    }
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace tlbsim::sim {
@@ -24,57 +25,72 @@ void Scheduler::freeSlot(std::uint32_t idx) {
   freeHead_ = idx;
 }
 
-std::uint32_t Scheduler::insert(SimTime when, EventFn fn) {
+std::uint32_t Scheduler::insert(SimTime when, EventFn&& fn) {
   if (when < now_) when = now_;  // Release clamp; Debug DCHECKed upstream
   const std::uint32_t idx = allocSlot();
-  Slot& s = slots_[idx];
-  s.time = when;
-  s.seq = nextSeq_++;
-  s.fn = std::move(fn);
-  const std::size_t pos = heap_.size();
-  heap_.push_back(idx);
-  s.heapPos = static_cast<std::uint32_t>(pos);
-  siftUp(pos);
+  slots_[idx].fn = std::move(fn);
+  heap_.emplace_back();
+  siftUp(heap_.size() - 1, Entry{when, nextSeq_++, idx});
   return idx;
 }
 
-void Scheduler::siftUp(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+/// Sift `e` up from the hole at `pos` and place it.
+void Scheduler::siftUp(std::size_t pos, Entry e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!before(idx, heap_[parent])) break;
+    if (!before(e, heap_[parent])) break;
     place(pos, heap_[parent]);
     pos = parent;
   }
-  place(pos, idx);
+  place(pos, e);
+}
+
+/// The smallest of the children starting at `first` (which must exist).
+std::size_t Scheduler::smallestChild(std::size_t first) const {
+  const std::size_t last = std::min(first + kArity, heap_.size());
+  std::size_t best = first;
+  for (std::size_t c = first + 1; c < last; ++c) {
+    if (before(heap_[c], heap_[best])) best = c;
+  }
+  return best;
 }
 
 void Scheduler::siftDown(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+  const Entry e = heap_[pos];
   const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first = pos * kArity + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], idx)) break;
+  for (std::size_t first = pos * kArity + 1; first < n;
+       first = pos * kArity + 1) {
+    const std::size_t best = smallestChild(first);
+    if (!before(heap_[best], e)) break;
     place(pos, heap_[best]);
     pos = best;
   }
-  place(pos, idx);
+  place(pos, e);
+}
+
+void Scheduler::popTop() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Walk the root's hole down the smallest children to a leaf, then let
+  // the old last entry climb back from there.
+  std::size_t pos = 0;
+  for (std::size_t first = 1; first < n; first = pos * kArity + 1) {
+    const std::size_t best = smallestChild(first);
+    place(pos, heap_[best]);
+    pos = best;
+  }
+  siftUp(pos, last);
 }
 
 void Scheduler::removeFromHeap(std::size_t pos) {
-  const std::uint32_t last = heap_.back();
+  const Entry last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
-    place(pos, last);
     // The replacement may violate the heap property in either direction.
-    siftUp(pos);
-    siftDown(slots_[last].heapPos);
+    siftUp(pos, last);
+    siftDown(slots_[last.slot].heapPos);
   }
 }
 
@@ -87,24 +103,23 @@ bool Scheduler::cancelSlot(std::uint32_t slot, std::uint32_t gen) {
 
 bool Scheduler::step(SimTime limit) {
   if (!heap_.empty()) {
-    const std::uint32_t top = heap_[0];
-    Slot& s = slots_[top];
-    if (s.time > limit) {
+    const Entry top = heap_[0];
+    if (top.time > limit) {
       // Do not advance past the limit; leave the event pending.
       if (limit != kMaxTime && limit > now_) now_ = limit;
       return false;
     }
-    TLBSIM_DCHECK(s.time >= now_,
+    TLBSIM_DCHECK(top.time >= now_,
                   "event time regressed: %lld < now %lld (heap corruption?)",
-                  static_cast<long long>(s.time.ns()),
+                  static_cast<long long>(top.time.ns()),
                   static_cast<long long>(now_.ns()));
-    now_ = s.time;
+    now_ = top.time;
     // Move the callback out and retire the slot *before* invoking, so the
     // event counts as fired inside its own callback: a handle to it is
     // inert, and the slot is immediately reusable.
-    EventFn fn = std::move(s.fn);
-    removeFromHeap(0);
-    freeSlot(top);
+    EventFn fn = std::move(slots_[top.slot].fn);
+    popTop();
+    freeSlot(top.slot);
     ++executed_;
     fn();
     return true;

@@ -2,20 +2,28 @@
 //
 // The event core is an *indexed* 4-ary min-heap over stable slots:
 //
-//   slots_  stable storage for pending events — (time, seq, callback)
-//           plus the slot's current position in the heap. Freed slots go
-//           on an intrusive free list and are reused, so the steady-state
-//           schedule/fire/cancel path performs zero heap allocations once
-//           the vectors reach their high-water capacity.
-//   heap_   the 4-ary heap itself, holding slot indices only. Sift
-//           operations swap 4-byte indices (updating each slot's stored
-//           position), never the callbacks.
+//   slots_  stable storage for pending callbacks plus each slot's current
+//           position in the heap. Freed slots go on an intrusive free list
+//           and are reused, so the steady-state schedule/fire/cancel path
+//           performs zero heap allocations once the vectors reach their
+//           high-water capacity. A callback never moves after insertion.
+//   heap_   the 4-ary heap itself, holding keyed entries — (time, seq,
+//           slot), 24 bytes each. Comparisons read the entries alone, so a
+//           sift touches only the contiguous heap array; the only write
+//           into a slot is its back-pointer update.
 //
 // Events are ordered by (time, seq); seq is a monotonically increasing
 // sequence number assigned at schedule time, so events with equal
 // timestamps fire in scheduling order and runs are deterministic. That
 // total order is strict, which makes the firing order independent of the
-// heap's arity — the invariant the byte-identical-output tests lean on.
+// heap's arity and sift strategy — the invariant the byte-identical-output
+// tests lean on.
+//
+// Popping the minimum is bottom-up (Floyd): the hole left at the root
+// walks down the smallest children to a leaf, and the heap's old last
+// entry sifts up from there. The last entry is almost always among the
+// latest events, so it rarely climbs, and the walk down saves the
+// compare against it at every level that a top-down sift would pay.
 //
 // Cancellation is *in-place*: an EventHandle names its slot (plus a
 // generation counter that invalidates stale handles), and cancel()
@@ -25,7 +33,8 @@
 // Callbacks are sim::EventFn — a small-buffer-optimized move-only
 // callable (util::InlineFunction). Closures capturing up to
 // kEventInlineBytes stay inline; every closure the per-packet path
-// creates is pinned under that budget by tests/sim/alloc_count_test.
+// creates is pinned under that budget by tests/sim/alloc_count_test, and
+// the trivially copyable ones relocate into their slot with a memcpy.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +117,7 @@ class Scheduler {
   /// Schedule `fn` to run `delay` ns from now, returning a cancellable
   /// handle. A negative delay is always a unit bug upstream (time never
   /// flows backwards in the simulation), so Debug builds reject it.
-  [[nodiscard]] EventHandle schedule(SimTime delay, EventFn fn) {
+  [[nodiscard]] EventHandle schedule(SimTime delay, EventFn&& fn) {
     checkDelay(delay);
     return scheduleAt(now_ + delay, std::move(fn));
   }
@@ -119,7 +128,7 @@ class Scheduler {
   /// now() so the event still fires and time stays monotone. Callers with
   /// a legitimately might-be-past timestamp must clamp explicitly
   /// (std::max(when, now())) — that states the intent and passes Debug.
-  [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn fn) {
+  [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn&& fn) {
     checkPast(when);
     const std::uint32_t slot = insert(when, std::move(fn));
     return EventHandle(this, slot, slots_[slot].gen);
@@ -127,11 +136,11 @@ class Scheduler {
 
   /// Fire-and-forget variants: no handle, for events that are never
   /// cancelled (packet serialization/propagation, one-shot arming).
-  void post(SimTime delay, EventFn fn) {
+  void post(SimTime delay, EventFn&& fn) {
     checkDelay(delay);
     postAt(now_ + delay, std::move(fn));
   }
-  void postAt(SimTime when, EventFn fn) {
+  void postAt(SimTime when, EventFn&& fn) {
     checkPast(when);
     insert(when, std::move(fn));
   }
@@ -173,9 +182,14 @@ class Scheduler {
   static constexpr std::uint32_t kArity = 4;
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 
-  struct Slot {
+  /// One heap element: the event's ordering key and its slot.
+  struct Entry {
     SimTime time;
-    std::uint64_t seq = 0;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  struct Slot {
     EventFn fn;
     std::uint32_t heapPos = kNoPos;  ///< kNoPos while free / firing
     std::uint32_t gen = 0;           ///< bumped on every free
@@ -203,22 +217,22 @@ class Scheduler {
                   static_cast<long long>(now_.ns()));
   }
 
-  bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.time != sb.time) return sa.time < sb.time;
-    return sa.seq < sb.seq;  // seq is unique -> strict total order
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;  // seq is unique -> strict total order
   }
 
   std::uint32_t allocSlot();
   void freeSlot(std::uint32_t idx);
-  std::uint32_t insert(SimTime when, EventFn fn);
-  void place(std::size_t pos, std::uint32_t idx) {
-    heap_[pos] = idx;
-    slots_[idx].heapPos = static_cast<std::uint32_t>(pos);
+  std::uint32_t insert(SimTime when, EventFn&& fn);
+  void place(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[e.slot].heapPos = static_cast<std::uint32_t>(pos);
   }
-  void siftUp(std::size_t pos);
+  void siftUp(std::size_t pos, Entry e);
   void siftDown(std::size_t pos);
+  std::size_t smallestChild(std::size_t first) const;
+  void popTop();
   void removeFromHeap(std::size_t pos);
   bool cancelSlot(std::uint32_t slot, std::uint32_t gen);
   bool slotPending(std::uint32_t slot, std::uint32_t gen) const {
@@ -230,7 +244,7 @@ class Scheduler {
   void firePeriodic(std::size_t idx);
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;
+  std::vector<Entry> heap_;
   std::uint32_t freeHead_ = kNoPos;
   std::vector<Periodic> periodics_;
   PeriodicTickHook tickHook_;

@@ -24,18 +24,18 @@ class Simulator {
 
   SimTime now() const { return scheduler_.now(); }
 
-  [[nodiscard]] EventHandle schedule(SimTime delay, EventFn fn) {
+  [[nodiscard]] EventHandle schedule(SimTime delay, EventFn&& fn) {
     return scheduler_.schedule(delay, std::move(fn));
   }
-  [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn fn) {
+  [[nodiscard]] EventHandle scheduleAt(SimTime when, EventFn&& fn) {
     return scheduler_.scheduleAt(when, std::move(fn));
   }
 
   /// Fire-and-forget: no handle, for events never cancelled.
-  void post(SimTime delay, EventFn fn) {
+  void post(SimTime delay, EventFn&& fn) {
     scheduler_.post(delay, std::move(fn));
   }
-  void postAt(SimTime when, EventFn fn) {
+  void postAt(SimTime when, EventFn&& fn) {
     scheduler_.postAt(when, std::move(fn));
   }
 

@@ -1,14 +1,25 @@
 // Small-buffer-optimized move-only callable — the zero-allocation
 // replacement for std::function on the simulator's hot paths.
 //
-// A callable whose closure fits the inline buffer (and is nothrow-move-
-// constructible, so relocation during vector growth cannot throw) is
-// stored in place: constructing, moving, invoking, and destroying it
-// never touches the heap. Larger or over-aligned closures fall back to a
-// single heap allocation; that fallback is what keeps cold setup-time
-// lambdas (which capture half the harness by reference) convenient, and
-// the alloc-counting test in tests/sim pins the hot-path closures to the
-// inline side.
+// Three storage modes, picked at compile time from the closure type:
+//
+//   trivial  the closure fits the inline buffer and is trivially copyable
+//            and trivially destructible — every hot-path event closure
+//            ([this], [this, slot]) is. No manager is stored: moving is a
+//            fixed-size memcpy of the buffer and destruction is a no-op,
+//            so relocating an event into its scheduler slot costs no
+//            indirect call.
+//   inline   any other closure that fits the buffer and is nothrow-move-
+//            constructible (so relocation during vector growth cannot
+//            throw). A per-type manager move-constructs and destroys it.
+//   heap     larger or over-aligned closures get a single heap cell whose
+//            pointer the manager hands over on move. That fallback keeps
+//            cold setup-time lambdas (which capture half the harness by
+//            reference) convenient; the alloc-counting test in tests/sim
+//            pins the hot-path closures to the allocation-free modes.
+//
+// The buffer is zero-filled before a trivial closure is placed in it, so
+// the memcpy relocation only ever reads initialised bytes.
 //
 // Differences from std::function, all deliberate:
 //   * move-only (closures holding move-only state are fine; accidental
@@ -18,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -50,7 +62,11 @@ class InlineFunction<R(Args...), InlineSize> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (fitsInline<Fn>()) {
+    if constexpr (isTrivial<Fn>()) {
+      std::memset(storage_, 0, InlineSize);
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      invoke_ = &inlineInvoke<Fn>;
+    } else if constexpr (fitsInline<Fn>()) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       invoke_ = &inlineInvoke<Fn>;
       manage_ = &inlineManage<Fn>;
@@ -100,6 +116,14 @@ class InlineFunction<R(Args...), InlineSize> {
            std::is_nothrow_move_constructible_v<F>;
   }
 
+  /// True when a closure of type F is stored without a manager: it fits
+  /// inline and relocates with a memcpy and needs no destructor call.
+  template <typename F>
+  static constexpr bool isTrivial() {
+    return fitsInline<F>() && std::is_trivially_copyable_v<F> &&
+           std::is_trivially_destructible_v<F>;
+  }
+
   static constexpr std::size_t inlineSize() { return InlineSize; }
 
  private:
@@ -142,7 +166,11 @@ class InlineFunction<R(Args...), InlineSize> {
   }
 
   void moveFrom(InlineFunction& other) noexcept {
-    if (other.manage_ != nullptr) other.manage_(other.storage_, storage_);
+    if (other.manage_ != nullptr) {
+      other.manage_(other.storage_, storage_);
+    } else if (other.invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, InlineSize);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;
@@ -151,7 +179,7 @@ class InlineFunction<R(Args...), InlineSize> {
 
   alignas(std::max_align_t) mutable unsigned char storage_[InlineSize];
   Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
+  Manage manage_ = nullptr;  ///< nullptr for trivial closures (and empty)
 };
 
 }  // namespace tlbsim::util

@@ -1,14 +1,19 @@
 // util::InlineFunction — the small-buffer callable behind sim::EventFn.
-// These tests pin the inline/heap boundary, the move/destroy protocol,
-// and the compile-time fitsInline() predicate that hot call sites and
-// the alloc-counting test rely on.
+// These tests pin the inline/heap boundary, the move/destroy protocol of
+// each storage mode (manager-less memcpy relocation for trivial closures,
+// managed inline, heap), and the compile-time fitsInline()/isTrivial()
+// predicates that hot call sites and the alloc-counting test rely on.
 #include "util/inline_function.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 
@@ -149,6 +154,157 @@ TEST(InlineFunction, SelfMoveAssignIsSafe) {
   EXPECT_TRUE(static_cast<bool>(f));
   f();
   EXPECT_EQ(calls, 1);
+}
+
+// --- trivial (memcpy) path vs managed path ------------------------------
+
+TEST(InlineFunction, HotPathClosureShapesAreTrivial) {
+  // The scheduler's per-packet closures capture [this] or [this, slot];
+  // both must take the manager-less memcpy path.
+  struct Owner {
+    auto self() {
+      return [this] { (void)this; };
+    }
+    auto selfAndSlot(std::uint32_t slot) {
+      return [this, slot] { (void)this, (void)slot; };
+    }
+  };
+  using Self = decltype(std::declval<Owner&>().self());
+  using SelfAndSlot =
+      decltype(std::declval<Owner&>().selfAndSlot(std::uint32_t{}));
+  static_assert(sim::EventFn::isTrivial<Self>());
+  static_assert(sim::EventFn::isTrivial<SelfAndSlot>());
+  static_assert(Fn::isTrivial<Small>());
+  static_assert(Fn::isTrivial<AtBudget>());
+  // Over budget, a std::string capture, or a user destructor: managed.
+  static_assert(!Fn::isTrivial<OverBudget>());
+  struct WithString {
+    std::string s;
+    int operator()() const { return static_cast<int>(s.size()); }
+  };
+  static_assert(Fn::fitsInline<WithString>());
+  static_assert(!Fn::isTrivial<WithString>());
+}
+
+/// A trivially copyable closure whose value depends on every captured
+/// byte, so a short or misaligned relocation shows up in the result.
+struct Payload {
+  std::array<std::int32_t, 10> v{};
+  int operator()() const {
+    int sum = 0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      sum += v[i] * static_cast<int>(i + 1);
+    }
+    return sum;
+  }
+};
+static_assert(Fn::isTrivial<Payload>());
+
+Payload makePayload(int base) {
+  Payload p;
+  for (std::size_t i = 0; i < p.v.size(); ++i) {
+    p.v[i] = base + static_cast<int>(i);
+  }
+  return p;
+}
+
+TEST(InlineFunction, TrivialClosureRelocatesByMemcpy) {
+  const int want = makePayload(7)();
+  Fn a(makePayload(7));
+  Fn b(std::move(a));
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b(), want);
+  Fn c(makePayload(100));
+  c = std::move(b);  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(b));  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c(), want);
+
+  // Vector growth relocates every element through the move constructor.
+  std::vector<Fn> fns;
+  for (int i = 0; i < 100; ++i) fns.emplace_back(makePayload(i));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(fns[static_cast<std::size_t>(i)](), makePayload(i)());
+  }
+}
+
+/// Counts how many times the *owning* instance is destroyed: a move hands
+/// ownership to the destination, so moved-from shells do not count.
+struct Tracked {
+  int* ownerDestroyed;
+  int* live;
+  bool owner = true;
+  Tracked(int* destroyed, int* liveCount)
+      : ownerDestroyed(destroyed), live(liveCount) {
+    ++*live;
+  }
+  Tracked(Tracked&& o) noexcept
+      : ownerDestroyed(o.ownerDestroyed), live(o.live), owner(o.owner) {
+    o.owner = false;
+    ++*live;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    --*live;
+    if (owner) ++*ownerDestroyed;
+  }
+  int operator()() const { return owner ? 1 : -1; }
+};
+
+TEST(InlineFunction, ManagedClosureIsDestroyedExactlyOnce) {
+  static_assert(Fn::fitsInline<Tracked>());
+  static_assert(!Fn::isTrivial<Tracked>());
+  int destroyed = 0;
+  int live = 0;
+  {
+    Fn a(Tracked(&destroyed, &live));
+    Fn b(std::move(a));
+    EXPECT_EQ(b(), 1);
+    Fn c([] { return 0; });
+    c = std::move(b);  // move-assign over a trivial target
+    EXPECT_EQ(c(), 1);
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_EQ(live, 1);  // moved-from shells are gone, not leaked
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(live, 0);
+
+  // Move-assigning a managed closure over another destroys the old one
+  // immediately, and vector growth keeps every owner alive exactly once.
+  destroyed = 0;
+  {
+    Fn a(Tracked(&destroyed, &live));
+    a = Fn(Tracked(&destroyed, &live));
+    EXPECT_EQ(destroyed, 1);
+    std::vector<Fn> fns;
+    for (int i = 0; i < 50; ++i) fns.emplace_back(Tracked(&destroyed, &live));
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(live, 51);
+    for (const Fn& f : fns) EXPECT_EQ(f(), 1);
+  }
+  EXPECT_EQ(destroyed, 52);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(InlineFunction, StringCaptureSurvivesEveryRelocation) {
+  // Long enough to live on the heap: a double free or a lost buffer is
+  // what the sanitizer jobs catch here.
+  const std::string text(200, 'x');
+  InlineFunction<std::size_t()> a([s = text] { return s.size(); });
+  InlineFunction<std::size_t()> b(std::move(a));
+  InlineFunction<std::size_t()> c([s = std::string(300, 'y')] {
+    return s.size();
+  });
+  c = std::move(b);
+  EXPECT_EQ(c(), text.size());
+  std::vector<InlineFunction<std::size_t()>> fns;
+  for (std::size_t i = 0; i < 40; ++i) {
+    fns.emplace_back([s = std::string(100 + i, 'z')] { return s.size(); });
+  }
+  for (std::size_t i = 0; i < fns.size(); ++i) {
+    EXPECT_EQ(fns[i](), 100 + i);
+  }
 }
 
 }  // namespace

@@ -5,10 +5,13 @@
 // second checks *firing order* against an executable reference model: a
 // flat list of (time, seq) records fired by a sort — the semantics the
 // indexed heap must reproduce exactly for runs to be deterministic and
-// byte-identical across heap layouts.
+// byte-identical across heap layouts. The third runs that model in
+// lockstep over a simulator-sized population with re-entrant callbacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
+#include <map>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -142,6 +145,156 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerOrderFuzz,
                          ::testing::Values(11, 13, 17, 19, 23));
+
+// The simulator's own regime, checked against the same reference order: a
+// population of over a thousand pending events on a coarse time grid (so
+// most share their timestamp with others), long RTO-style timers parked
+// deep in the heap and cancelled or re-armed at arbitrary positions, and
+// callbacks that post, schedule and cancel from inside fn() — the Link and
+// TCP patterns. The model is an ordered map keyed by (time, scheduling
+// order) and fires in lockstep: at each callback the token must be the
+// model's minimum.
+class ReentrantModel {
+ public:
+  static constexpr std::size_t kPreload = 1200;
+  static constexpr std::size_t kTimers = 96;
+
+  explicit ReentrantModel(std::uint64_t seed)
+      : rng_(seed), timers_(kTimers), timerRef_(kTimers, kNone) {
+    for (std::size_t i = 0; i < kPreload; ++i) postPacket();
+    for (std::size_t k = 0; k < kTimers; ++k) armTimer(k);
+  }
+
+  /// Fire `budget` events with the callbacks' work on, then drain.
+  void run(std::uint64_t budget) {
+    while (fired_ < budget && !diverged_) {
+      ASSERT_TRUE(sched_.step());
+      ASSERT_EQ(sched_.pendingEvents(), pending_.size());
+    }
+    pendingAtBudget_ = pending_.size();
+    draining_ = true;
+    sched_.run();
+    EXPECT_FALSE(diverged_);
+    EXPECT_TRUE(pending_.empty());
+    EXPECT_EQ(sched_.pendingEvents(), 0u);
+    EXPECT_EQ(sched_.executedEvents(), fired_);
+  }
+
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t cancelled() const { return cancelled_; }
+  std::size_t pendingAtBudget() const { return pendingAtBudget_; }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  struct Key {
+    std::int64_t ns;
+    std::uint64_t order;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  /// Delays on a 100 ns grid: many events land on the same timestamp,
+  /// including now() itself.
+  SimTime packetDelay() {
+    return SimTime::fromNs(100 * rng_.uniformInt(0, 30));
+  }
+  SimTime timerDelay() {
+    return SimTime::fromNs(100 * rng_.uniformInt(500, 2000));
+  }
+
+  std::size_t record(SimTime delay) {
+    const std::size_t token = keys_.size();
+    keys_.push_back(Key{(sched_.now() + delay).ns(), order_++});
+    pending_.emplace(keys_.back(), token);
+    return token;
+  }
+
+  void postPacket() {
+    const SimTime delay = packetDelay();
+    const std::size_t token = record(delay);
+    sched_.post(delay, [this, token] { onFire(token, kNone); });
+  }
+
+  /// (Re-)arm timer k; the move-assignment cancels a still-pending arm.
+  void armTimer(std::size_t k) {
+    retireTimer(k, /*viaCancel=*/false);
+    const SimTime delay = timerDelay();
+    const std::size_t token = record(delay);
+    timerRef_[k] = token;
+    timers_[k] = sched_.schedule(delay, [this, token, k] { onFire(token, k); });
+  }
+
+  /// Mirror the cancellation of timer k's current arm into the model.
+  void retireTimer(std::size_t k, bool viaCancel) {
+    const std::size_t ref = timerRef_[k];
+    const bool modelPending = ref != kNone && pending_.erase(keys_[ref]) == 1;
+    EXPECT_EQ(timers_[k].pending(), modelPending);
+    if (viaCancel) {
+      EXPECT_EQ(timers_[k].cancel(), modelPending);
+    }
+    if (modelPending) ++cancelled_;
+  }
+
+  void onFire(std::size_t token, std::size_t timer) {
+    if (diverged_) return;
+    const std::size_t expected = pending_.begin()->second;
+    if (token != expected) {
+      diverged_ = true;
+      ADD_FAILURE() << "fired token " << token << " but the model expects "
+                    << expected << " after " << fired_ << " events";
+      return;
+    }
+    EXPECT_EQ(sched_.now().ns(), keys_[token].ns);
+    pending_.erase(pending_.begin());
+    ++fired_;
+    if (timer != kNone) {
+      EXPECT_FALSE(timers_[timer].pending());  // fired counts as not pending
+    }
+    if (draining_) return;
+
+    // A packet event re-posts itself (sometimes twice), keeping the
+    // population above its preload size; some events also touch timers.
+    if (timer == kNone) {
+      postPacket();
+      if (rng_.uniform() < 0.05) postPacket();
+    }
+    const double action = rng_.uniform();
+    if (action < 0.25) {
+      armTimer(rng_.uniformInt(kTimers));
+    } else if (action < 0.35) {
+      retireTimer(rng_.uniformInt(kTimers), /*viaCancel=*/true);
+    } else if (action < 0.40 && timer != kNone) {
+      armTimer(timer);  // the RTO re-arming itself from its own callback
+    }
+  }
+
+  Scheduler sched_;
+  Rng rng_;
+  std::vector<Key> keys_;               ///< by token
+  std::map<Key, std::size_t> pending_;  ///< the reference order
+  std::vector<EventHandle> timers_;
+  std::vector<std::size_t> timerRef_;  ///< token of each timer's arm
+  std::uint64_t order_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::size_t pendingAtBudget_ = 0;
+  bool draining_ = false;
+  bool diverged_ = false;
+};
+
+class SchedulerPopulationFuzz
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulerPopulationFuzz, ReentrantCallbacksKeepReferenceOrder) {
+  ReentrantModel model(GetParam());
+  model.run(20'000);
+  EXPECT_GE(model.pendingAtBudget(), ReentrantModel::kPreload);
+  EXPECT_GT(model.cancelled(), 1000u);
+  EXPECT_GT(model.fired(), 20'000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPopulationFuzz,
+                         ::testing::Values(29, 31, 37));
 
 TEST(SchedulerFuzz, CancelDuringCallbackIsSafe) {
   Scheduler sched;
