@@ -156,6 +156,18 @@ inline harness::ExperimentConfig basicSetup(harness::Scheme scheme,
   return cfg;
 }
 
+/// The three fixed switching granularities of the §2.2 motivation study
+/// (Figs. 3 and 4), each with the label the paper's figures print.
+struct Granularity {
+  harness::Scheme scheme;
+  const char* label;
+};
+inline constexpr Granularity kGranularities[] = {
+    {harness::Scheme::kFlowLevel, "Flow-level"},
+    {harness::Scheme::kLetFlow, "Flowlet-level"},
+    {harness::Scheme::kRps, "Packet-level"},
+};
+
 /// The paper's basic traffic mix: 100 short (<100 KB) + 5 long (10 MB).
 inline void addBasicMix(harness::ExperimentConfig& cfg, int numShort = 100,
                         int numLong = 5) {

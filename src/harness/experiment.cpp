@@ -26,6 +26,9 @@ namespace tlbsim::harness {
 
 namespace {
 
+/// Cadence of the queue-depth snapshot sampler (TLB's control interval).
+constexpr SimTime kObsSampleInterval = microseconds(500);
+
 /// Aggregated sender/receiver counters used for interval deltas.
 struct Totals {
   std::uint64_t shortDup = 0, shortAcks = 0;
@@ -106,20 +109,18 @@ ExperimentResult Experiment::run() const {
 
   // Derive TLB's physical model inputs from the topology.
   cfg.scheme.numPaths = cfg.topo.numSpines;
-  if (cfg.autoFillTlbFromTopology) {
-    cfg.scheme.tlb.rtt = cfg.topo.baseRtt();
-    cfg.scheme.tlb.linkCapacity = cfg.topo.fabricLinkRate;
-    cfg.scheme.tlb.bufferPackets = cfg.topo.bufferPackets;
-    cfg.scheme.tlb.mss = cfg.tcp.mss;
-    cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
-    cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
-    // DCTCP marking bounds the real queue length; a threshold above the
-    // marking point would never trigger.
-    cfg.scheme.tlb.qthCapPackets = cfg.topo.ecnThresholdPackets;
-  }
+  cfg.scheme.tlb.rtt = cfg.topo.baseRtt();
+  cfg.scheme.tlb.linkCapacity = cfg.topo.fabricLinkRate;
+  cfg.scheme.tlb.bufferPackets = cfg.topo.bufferPackets;
+  cfg.scheme.tlb.mss = cfg.tcp.mss;
+  cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
+  cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
+  // DCTCP marking bounds the real queue length; a threshold above the
+  // marking point would never trigger.
+  cfg.scheme.tlb.qthCapPackets = cfg.topo.ecnThresholdPackets;
 
-  // Topology with one selector per leaf; remember TLB instances for the
-  // q_th trace.
+  // Topology with one selector per leaf; remember TLB instances for their
+  // observability wiring, audit and switch counts.
   std::vector<core::Tlb*> tlbs;
   net::LeafSpineTopology topo(
       simr, cfg.topo, [&](net::Switch& sw, int leafIdx) {
@@ -136,7 +137,7 @@ ExperimentResult Experiment::run() const {
   // Flow classification for stats hooks.
   std::unordered_set<FlowId> shortFlows;
   for (const auto& f : cfg.flows) {
-    if (f.size < cfg.shortThreshold) shortFlows.insert(f.id);
+    if (f.size < transport::kShortFlowThreshold) shortFlows.insert(f.id);
   }
   stats::QueueDelayMonitor qmon(
       [&shortFlows](FlowId id) { return shortFlows.contains(id); });
@@ -194,7 +195,7 @@ ExperimentResult Experiment::run() const {
       // every selector reports its decisions.
       for (const auto& f : cfg.flows) {
         sinks.flows->declareFlow(f.id, f.src, f.dst, f.size, f.start,
-                                 f.size < cfg.shortThreshold);
+                                 f.size < transport::kShortFlowThreshold);
       }
       for (int l = 0; l < topo.numLeaves(); ++l) {
         topo.leaf(l).installFlowProbe(*sinks.flows, l);
@@ -203,16 +204,15 @@ ExperimentResult Experiment::run() const {
         }
       }
     }
-    if (sinks.metrics != nullptr && cfg.obsSampleInterval > 0_ns &&
-        !depthGauges.empty()) {
+    if (sinks.metrics != nullptr && !depthGauges.empty()) {
       simr.every(
-          cfg.obsSampleInterval,
+          kObsSampleInterval,
           [&depthGauges] {
             for (auto& [gauge, link] : depthGauges) {
               gauge->set(static_cast<double>(link->queuePackets()));
             }
           },
-          /*start=*/cfg.obsSampleInterval, /*name=*/"obs.sample");
+          /*start=*/kObsSampleInterval, /*name=*/"obs.sample");
     }
   }
 
@@ -222,11 +222,10 @@ ExperimentResult Experiment::run() const {
   std::unique_ptr<fault::FaultMonitor> faultMon;
   std::unique_ptr<fault::FaultInjector> faultInj;
   if (!cfg.fault.empty()) {
-    fault::FaultMonitor::Config mcfg;
-    if (cfg.obsSampleInterval > 0_ns) mcfg.sampleInterval = cfg.obsSampleInterval;
     faultMon = std::make_unique<fault::FaultMonitor>(
         topo, simr,
-        [&shortFlows](FlowId id) { return !shortFlows.contains(id); }, mcfg);
+        [&shortFlows](FlowId id) { return !shortFlows.contains(id); },
+        fault::FaultMonitor::Config{});
     faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, topo, simr,
                                                       cfg.seed);
     faultInj->setMonitor(faultMon.get());
@@ -239,9 +238,7 @@ ExperimentResult Experiment::run() const {
   // then re-verify the conservation laws each control tick.
   std::unique_ptr<check::InvariantAuditor> auditor;
   if (auditEnabled(cfg.audit)) {
-    check::InvariantAuditor::Config acfg;
-    acfg.interval = cfg.auditInterval;
-    auditor = std::make_unique<check::InvariantAuditor>(acfg);
+    auditor = std::make_unique<check::InvariantAuditor>();
     auditor->watchTopology(topo);
     // Admissible q_th range: [0, buffer depth], tightened by the ECN cap,
     // widened by an explicit override (the Fig. 7 harness pins q_th).
@@ -370,16 +367,6 @@ ExperimentResult Experiment::run() const {
           t, toSeconds(busyNow - prev.fabricBusy) / dt /
                  static_cast<double>(topo.numSpines()));
       now.fabricBusy = busyNow;
-
-      if (!tlbs.empty()) {
-        double qth = 0.0;
-        for (const auto* tlb : tlbs) {
-          qth += static_cast<double>(tlb->qthBytes().bytes());
-        }
-        res.tlbQthPackets.add(
-            t, qth / static_cast<double>(tlbs.size()) /
-                   static_cast<double>(cfg.tcp.maxSegmentWireSize().bytes()));
-      }
       prev = now;
     }, /*start=*/cfg.sampleInterval);
   }

@@ -16,10 +16,10 @@
 #include "fault/plan.hpp"
 #include "harness/scheme.hpp"
 #include "net/leaf_spine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
 #include "obs/sinks.hpp"
 #include "stats/flow_ledger.hpp"
-#include "stats/time_series.hpp"
 #include "transport/tcp_params.hpp"
 #include "util/summary_stats.hpp"
 #include "util/units.hpp"
@@ -43,23 +43,13 @@ struct ExperimentConfig {
   /// Time-series sampling period; 0 disables sampling.
   SimTime sampleInterval;
 
-  /// Classification boundary for reporting (matches TLB's table).
-  ByteCount shortThreshold = 100 * kKB;
-
   std::uint64_t seed = 1;
-
-  /// When true (default), TLB's physical parameters (RTT, capacity,
-  /// buffer) are derived from the topology config before the run.
-  bool autoFillTlbFromTopology = true;
 
   /// Observability sinks (both null = fully disabled). The struct is the
   /// single wiring point; the pointed-to registry/trace must outlive the
   /// run and are never owned through this config — Experiment owns
   /// per-run sinks when asked to.
   obs::Sinks sinks;
-  /// Cadence of the queue-depth snapshot sampler (matches TLB's control
-  /// interval by default).
-  SimTime obsSampleInterval = microseconds(500);
 
   // --- application layer (tlbsim::app) ----------------------------------
   /// Closed-loop partition-aggregate RPC service running on top of the
@@ -87,20 +77,18 @@ struct ExperimentConfig {
   /// it either way. A violation aborts with the offending invariant.
   enum class Audit { kAuto, kOn, kOff };
   Audit audit = Audit::kAuto;
-  /// Audit cadence (matches TLB's 500 µs control interval by default).
-  SimTime auditInterval = microseconds(500);
 };
 
 struct ExperimentResult {
   stats::FlowLedger ledger;
 
   // Time series (only populated when sampleInterval > 0).
-  stats::TimeSeries shortDupAckRatio;   ///< Fig. 8(a)
-  stats::TimeSeries shortQueueDelayUs;  ///< Fig. 8(b)
-  stats::TimeSeries longOooRatio;       ///< Fig. 9(a)
-  stats::TimeSeries longThroughputGbps; ///< Fig. 9(b), per-flow mean
-  stats::TimeSeries fabricUtilization;  ///< Fig. 4(a)
-  stats::TimeSeries tlbQthPackets;      ///< TLB threshold trace
+  // The q_th trace is the metrics registry's tlb.leafN.qth_bytes series.
+  obs::Series shortDupAckRatio;   ///< Fig. 8(a)
+  obs::Series shortQueueDelayUs;  ///< Fig. 8(b)
+  obs::Series longOooRatio;       ///< Fig. 9(a)
+  obs::Series longThroughputGbps; ///< Fig. 9(b), per-flow mean
+  obs::Series fabricUtilization;  ///< Fig. 4(a)
 
   // Queue-delay distributions at the sender-leaf fabric queues.
   SampleSet shortQueueLenPkts;  ///< Fig. 3(a)

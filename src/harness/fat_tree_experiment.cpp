@@ -15,16 +15,16 @@ ExperimentResult runFatTreeExperiment(const FatTreeExperimentConfig& cfgIn) {
 
   sim::Simulator simr;
 
+  // TLB's physical model inputs come from the topology: the group width
+  // is k/2 at both tiers and the RTT uses the 6-hop pod-to-pod path.
   cfg.scheme.numPaths = cfg.topo.k / 2;
-  if (cfg.autoFillTlbFromTopology) {
-    cfg.scheme.tlb.rtt = 12 * cfg.topo.linkDelay;  // 6 links each way
-    cfg.scheme.tlb.linkCapacity = cfg.topo.linkRate;
-    cfg.scheme.tlb.bufferPackets = cfg.topo.bufferPackets;
-    cfg.scheme.tlb.mss = cfg.tcp.mss;
-    cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
-    cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
-    cfg.scheme.tlb.qthCapPackets = cfg.topo.ecnThresholdPackets;
-  }
+  cfg.scheme.tlb.rtt = 12 * cfg.topo.linkDelay;  // 6 links each way
+  cfg.scheme.tlb.linkCapacity = cfg.topo.linkRate;
+  cfg.scheme.tlb.bufferPackets = cfg.topo.bufferPackets;
+  cfg.scheme.tlb.mss = cfg.tcp.mss;
+  cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
+  cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
+  cfg.scheme.tlb.qthCapPackets = cfg.topo.ecnThresholdPackets;
 
   std::vector<core::Tlb*> tlbs;
   net::FatTreeTopology topo(

@@ -16,11 +16,7 @@ struct FatTreeExperimentConfig {
   transport::TcpParams tcp;
   std::vector<transport::FlowSpec> flows;
   SimTime maxDuration = seconds(10);
-  ByteCount shortThreshold = 100 * kKB;
   std::uint64_t seed = 1;
-  /// Derive TLB's physical model inputs from the topology (group width is
-  /// k/2 at both tiers; RTT uses the 6-hop pod-to-pod path).
-  bool autoFillTlbFromTopology = true;
 };
 
 /// Runs the flow list over the fat-tree; time-series fields of the result

@@ -6,6 +6,7 @@
 #include "lb/conga.hpp"
 #include "lb/drill.hpp"
 #include "lb/ecmp.hpp"
+#include "lb/fixed_granularity.hpp"
 #include "lb/hermes_like.hpp"
 #include "lb/letflow.hpp"
 #include "lb/presto.hpp"
@@ -46,8 +47,6 @@ const char* schemeName(Scheme s) {
     case Scheme::kPresto: return "Presto";
     case Scheme::kLetFlow: return "LetFlow";
     case Scheme::kFlowLevel: return "Flow-level";
-    case Scheme::kFlowletLevel: return "Flowlet-level";
-    case Scheme::kPacketLevel: return "Packet-level";
     case Scheme::kShortestQueue: return "ShortestQueue";
     case Scheme::kFixedGranularity: return "FixedGranularity";
     case Scheme::kTlb: return "TLB";
@@ -69,8 +68,6 @@ const char* schemeCliName(Scheme s) {
     case Scheme::kPresto: return "presto";
     case Scheme::kLetFlow: return "letflow";
     case Scheme::kFlowLevel: return "flow-level";
-    case Scheme::kFlowletLevel: return "flowlet-level";
-    case Scheme::kPacketLevel: return "packet-level";
     case Scheme::kShortestQueue: return "shortest-queue";
     case Scheme::kFixedGranularity: return "fixed-granularity";
     case Scheme::kTlb: return "tlb";
@@ -87,7 +84,6 @@ const std::vector<Scheme>& allSchemes() {
       Scheme::kPresto,        Scheme::kLetFlow,
       Scheme::kConga,         Scheme::kHermes,
       Scheme::kRoundRobin,    Scheme::kFlowLevel,
-      Scheme::kFlowletLevel,  Scheme::kPacketLevel,
       Scheme::kShortestQueue, Scheme::kFixedGranularity,
       Scheme::kTlb,
   };
@@ -126,14 +122,12 @@ std::unique_ptr<net::UplinkSelector> makeSelector(const SchemeConfig& cfg,
     case Scheme::kRoundRobin:
       return std::make_unique<lb::RoundRobin>();
     case Scheme::kRps:
-    case Scheme::kPacketLevel:
       return std::make_unique<lb::Rps>(seed);
     case Scheme::kDrill:
       return std::make_unique<lb::Drill>(seed);
     case Scheme::kPresto:
       return std::make_unique<lb::Presto>(salt, cfg.prestoCellBytes);
     case Scheme::kLetFlow:
-    case Scheme::kFlowletLevel:
       return std::make_unique<lb::LetFlow>(seed, cfg.flowletTimeout);
     case Scheme::kFlowLevel:
       return std::make_unique<lb::FixedGranularity>(
@@ -141,8 +135,7 @@ std::unique_ptr<net::UplinkSelector> makeSelector(const SchemeConfig& cfg,
     case Scheme::kShortestQueue:
       return std::make_unique<lb::ShortestQueue>(seed);
     case Scheme::kFixedGranularity:
-      return std::make_unique<lb::FixedGranularity>(seed, cfg.fixedK,
-                                                    cfg.fixedTarget);
+      return std::make_unique<lb::FixedGranularity>(seed, cfg.fixedK);
     case Scheme::kTlb:
       return std::make_unique<core::Tlb>(cfg.tlb, cfg.numPaths, seed);
   }

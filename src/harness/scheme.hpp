@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/tlb_config.hpp"
-#include "lb/fixed_granularity.hpp"
 #include "net/uplink_selector.hpp"
 #include "util/units.hpp"
 
@@ -33,9 +32,9 @@ enum class Scheme {
   kHermes,         ///< cautious condition-based rerouting (local approx.)
   kRoundRobin,     ///< per-packet deterministic round robin
   kFlowLevel,      ///< granularity study: never switch (random initial path)
-  kFlowletLevel,   ///< granularity study: alias of LetFlow
-  kPacketLevel,    ///< granularity study: alias of RPS
-  kShortestQueue,  ///< per-packet global shortest queue (ablation)
+  // 10 and 11 were aliases of LetFlow and RPS. They stay unused, so every
+  // scheme keeps its value (and each per-scheme gtest instance its name).
+  kShortestQueue = 12,  ///< per-packet global shortest queue (ablation)
   kFixedGranularity,  ///< switch every K packets (ablation)
   kTlb,            ///< the paper's scheme
 };
@@ -71,8 +70,6 @@ struct SchemeConfig {
   SimTime flowletTimeout = microseconds(150);  ///< LetFlow (paper: 150 µs)
   ByteCount prestoCellBytes = 64 * kKiB;           ///< Presto flowcell
   std::uint64_t fixedK = 64;                   ///< FixedGranularity packets
-  lb::FixedGranularity::Target fixedTarget =
-      lb::FixedGranularity::Target::kRandom;
   core::TlbConfig tlb;  ///< TLB parameters
   int numPaths = 1;     ///< uplink-group width (TLB model input)
 };

@@ -28,7 +28,6 @@ void Link::noteFaultDrop(const Packet& pkt) {
                      {"size", static_cast<double>(pkt.size.bytes())}},
                     traceTid_);
   }
-  for (const auto& hook : faultDropHooks_) hook(pkt);
 }
 
 void Link::faultDown(bool drainInFlight) {
@@ -89,14 +88,11 @@ void Link::send(Packet pkt) {
                        {"size", static_cast<double>(pkt.size.bytes())}},
                       traceTid_);
     }
-    for (const auto& hook : dropHooks_) hook(pkt);
     return;
   }
   ++enqueuedPackets_;
   enqueuedBytes_ += pkt.size;
   if (queue_.ecnMarks() != marksBefore) {
-    // Observers see the packet as stored: with its CE mark.
-    pkt.ce = true;
     if (obsMarks_ != nullptr) obsMarks_->inc();
     if (trace_ != nullptr) {
       trace_->instant("net", "ecn_mark", sim_.now(),
@@ -104,7 +100,6 @@ void Link::send(Packet pkt) {
                        {"queue_pkts", static_cast<double>(queue_.packets())}},
                       traceTid_);
     }
-    for (const auto& hook : markHooks_) hook(pkt);
   }
   if (!transmitting_) startTransmission();
 }

@@ -20,22 +20,13 @@ namespace tlbsim::net {
 
 class Link {
  public:
-  // Hooks fire on the per-packet data path, so they use the same
+  // The hook fires on the per-packet data path, so it uses the same
   // small-buffer callable as the event core (no std::function, no heap
   // for pointer-sized captures, single indirect call to invoke).
   /// Called with each packet as it leaves the queue, together with the time
-  /// it spent queued. Used by the stats layer; null by default.
+  /// it spent queued. Used by the stats layer and the fault monitor.
   using DequeueHook =
       util::InlineFunction<void(const Packet&, SimTime queueDelay)>;
-  /// Called with each packet the full queue rejects (a network drop).
-  using DropHook = util::InlineFunction<void(const Packet&)>;
-  /// Called with each packet the queue ECN-marks on enqueue (pkt.ce set).
-  using MarkHook = util::InlineFunction<void(const Packet&)>;
-  /// Called with each packet lost to an injected fault (rejected while the
-  /// link is down, flushed from the queue on faultDown, killed on the wire,
-  /// or gray-dropped). Distinct from DropHook so auditors can separate
-  /// fault losses from queue-overflow losses.
-  using FaultDropHook = util::InlineFunction<void(const Packet&)>;
 
   Link(sim::Simulator& simr, LinkRate rate, SimTime propagationDelay,
        QueueConfig queueCfg)
@@ -63,7 +54,6 @@ class Link {
   LinkRate rate() const { return rate_; }
   SimTime propagationDelay() const { return delay_; }
   Node* peer() const { return peer_; }
-  sim::Simulator& simulator() { return sim_; }
 
   // --- fault state (mutators reserved for fault::FaultInjector) ---------
   // The faultXxx mutators below model operational failures. Only the
@@ -124,14 +114,10 @@ class Link {
     return faultRejectedPackets_ + faultFlushedPackets_ + faultWireDrops_;
   }
 
-  /// Register an observer; multiple observers (stats + tracing) coexist.
+  /// Register an observer; multiple observers (stats + fault monitor)
+  /// coexist.
   void addDequeueHook(DequeueHook hook) {
     dequeueHooks_.push_back(std::move(hook));
-  }
-  void addDropHook(DropHook hook) { dropHooks_.push_back(std::move(hook)); }
-  void addMarkHook(MarkHook hook) { markHooks_.push_back(std::move(hook)); }
-  void addFaultDropHook(FaultDropHook hook) {
-    faultDropHooks_.push_back(std::move(hook));
   }
 
   /// Wire this link into the metrics registry (per-port tx/drop/mark
@@ -194,9 +180,6 @@ class Link {
   std::uint64_t deliveredPackets_ = 0;
   SimTime busyTime_;
   std::vector<DequeueHook> dequeueHooks_;
-  std::vector<DropHook> dropHooks_;
-  std::vector<MarkHook> markHooks_;
-  std::vector<FaultDropHook> faultDropHooks_;
 
   // Observability sinks (null = disabled; see installObs).
   obs::Counter* obsTx_ = nullptr;

@@ -2,16 +2,11 @@
 
 #include <cstdio>
 
-#include "util/logging.hpp"
-
 namespace tlbsim::stats {
 
-void writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
+bool writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    TLBSIM_LOG_ERROR("csv: cannot open %s", path.c_str());
-    return;
-  }
+  if (f == nullptr) return false;
   std::fprintf(f,
                "flow,src,dst,size_bytes,start_ns,deadline_ns,completed,"
                "fct_ns,dup_acks,acks,ooo_packets,data_packets,"
@@ -32,21 +27,8 @@ void writeFlowsCsv(const std::string& path, const FlowLedger& ledger) {
         static_cast<unsigned long long>(r.fastRetransmits),
         static_cast<unsigned long long>(r.timeouts));
   }
-  std::fclose(f);
-}
-
-void writeSeriesCsv(const std::string& path, const std::string& name,
-                    const TimeSeries& series) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    TLBSIM_LOG_ERROR("csv: cannot open %s", path.c_str());
-    return;
-  }
-  std::fprintf(f, "time_ns,%s\n", name.c_str());
-  for (const auto& [t, v] : series.points()) {
-    std::fprintf(f, "%lld,%.9g\n", static_cast<long long>(t.ns()), v);
-  }
-  std::fclose(f);
+  const bool ok = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace tlbsim::stats

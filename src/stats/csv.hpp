@@ -4,16 +4,12 @@
 #include <string>
 
 #include "stats/flow_ledger.hpp"
-#include "stats/time_series.hpp"
 
 namespace tlbsim::stats {
 
 /// One row per flow: id, src, dst, size, start, deadline, completed, fct,
-/// reordering and retransmission counters.
-void writeFlowsCsv(const std::string& path, const FlowLedger& ledger);
-
-/// One row per sample of a named time series.
-void writeSeriesCsv(const std::string& path, const std::string& name,
-                    const TimeSeries& series);
+/// reordering and retransmission counters. Returns false when the file
+/// cannot be opened or fully written.
+bool writeFlowsCsv(const std::string& path, const FlowLedger& ledger);
 
 }  // namespace tlbsim::stats

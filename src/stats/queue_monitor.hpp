@@ -9,7 +9,7 @@
 #include <functional>
 
 #include "net/link.hpp"
-#include "stats/time_series.hpp"
+#include "obs/metrics.hpp"
 #include "util/flow_key.hpp"
 #include "util/summary_stats.hpp"
 #include "util/units.hpp"
@@ -66,7 +66,7 @@ class QueueDelayMonitor {
   const SampleSet& longDelayUs() const { return longDelayUs_; }
   const SampleSet& shortQueueLenPkts() const { return shortQueueLenPkts_; }
   const SampleSet& longQueueLenPkts() const { return longQueueLenPkts_; }
-  const TimeSeries& shortDelaySeries() const { return shortDelaySeries_; }
+  const obs::Series& shortDelaySeries() const { return shortDelaySeries_; }
 
  private:
   Classifier isShort_;
@@ -74,7 +74,7 @@ class QueueDelayMonitor {
   SampleSet longDelayUs_;
   SampleSet shortQueueLenPkts_;
   SampleSet longQueueLenPkts_;
-  TimeSeries shortDelaySeries_;
+  obs::Series shortDelaySeries_;
   double intervalShortDelaySum_ = 0.0;
   std::uint64_t intervalShortCount_ = 0;
 };

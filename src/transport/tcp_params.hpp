@@ -47,6 +47,10 @@ struct TcpParams {
   ByteCount maxSegmentWireSize() const { return mss + headerBytes; }
 };
 
+/// Reporting boundary between short and long flows (paper: short < 100 KB).
+/// Ledger queries, the harness classifiers and workload deadlines use it.
+inline constexpr ByteCount kShortFlowThreshold = 100 * kKB;
+
 /// A flow to be transferred: the unit of workload generation.
 struct FlowSpec {
   FlowId id = kInvalidFlow;

@@ -41,7 +41,7 @@ std::vector<transport::FlowSpec> poissonWorkload(
                   leafOf(f.src, cfg.hostsPerLeaf)));
     f.size = dist.sample(rng);
     f.start = t;
-    if (f.size < cfg.shortThreshold && cfg.deadlineMax > 0_ns) {
+    if (f.size < transport::kShortFlowThreshold && cfg.deadlineMax > 0_ns) {
       f.deadline =
           SimTime::fromNs(rng.uniformInt(cfg.deadlineMin.ns(), cfg.deadlineMax.ns()));
     }

@@ -27,9 +27,9 @@ struct PoissonConfig {
   double offeredCapacityBps = 0.0;
   bool crossLeafOnly = true;  ///< only generate fabric-crossing flows
   SimTime startTime;
-  /// Deadlines assigned to flows below `shortThreshold`, uniform in
-  /// [deadlineMin, deadlineMax] (paper: [5 ms, 25 ms]); 0/0 disables.
-  ByteCount shortThreshold = 100 * kKB;
+  /// Deadlines assigned to short flows (transport::kShortFlowThreshold),
+  /// uniform in [deadlineMin, deadlineMax] (paper: [5 ms, 25 ms]); 0/0
+  /// disables.
   SimTime deadlineMin = milliseconds(5);
   SimTime deadlineMax = milliseconds(25);
 };

@@ -8,7 +8,7 @@
 
 #include "net/link.hpp"
 #include "net/switch.hpp"
-#include "net/trace.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace tlbsim::net {
@@ -131,8 +131,8 @@ TEST(LinkFault, GrayFailureDropsAreDeterministicAndAccounted) {
     SinkNode sink(simr);
     Link link(simr, gbps(10), microseconds(1), {512, 0});
     link.connect(&sink, 0);
-    PacketTracer tracer;
-    tracer.attach(link, "gray");
+    obs::MetricsRegistry metrics;
+    link.installObs(metrics, nullptr, "gray");
     link.faultSetDropProb(0.3, seed);
     const int n = 200;
     for (int i = 0; i < n; ++i) link.send(makePacket(1, 1000_B));
@@ -143,12 +143,12 @@ TEST(LinkFault, GrayFailureDropsAreDeterministicAndAccounted) {
               link.txPackets());
     EXPECT_GT(link.faultWireDrops(), 0u);
     EXPECT_LT(link.faultWireDrops(), static_cast<std::uint64_t>(n));
-    // The queue stays healthy-looking: no queue drops, and the tracer
-    // classifies every loss as a fault drop, not a DROP.
+    // The queue stays healthy-looking: no queue drops, and the port
+    // counters book every loss as a fault drop, not a queue drop.
     EXPECT_EQ(link.drops(), 0u);
-    EXPECT_EQ(tracer.countOf(PacketTracer::Kind::kFaultDrop),
-              static_cast<std::size_t>(link.faultWireDrops()));
-    EXPECT_EQ(tracer.countOf(PacketTracer::Kind::kDrop), 0u);
+    EXPECT_EQ(metrics.findCounter("port.gray.fault_drops")->value(),
+              link.faultWireDrops());
+    EXPECT_EQ(metrics.findCounter("port.gray.drops")->value(), 0u);
     return link.faultWireDrops();
   };
   EXPECT_EQ(runOnce(42), runOnce(42)) << "same seed, same drop sequence";

@@ -59,21 +59,31 @@ TEST(Experiment, DeterministicForSameSeed) {
   EXPECT_EQ(a.totalDrops, b.totalDrops);
 }
 
-TEST(Experiment, SamplingPopulatesTimeSeries) {
+TEST(Experiment, SamplingPopulatesSeries) {
   auto cfg = smallConfig(Scheme::kTlb);
   cfg.sampleInterval = microseconds(100);
   const auto res = runExperiment(cfg);
   EXPECT_FALSE(res.longThroughputGbps.empty());
   EXPECT_FALSE(res.shortQueueDelayUs.empty());
-  EXPECT_FALSE(res.tlbQthPackets.empty());
   EXPECT_FALSE(res.fabricUtilization.empty());
 }
 
+TEST(Experiment, TlbRunRecordsQthTrace) {
+  Experiment exp(smallConfig(Scheme::kTlb));
+  const auto& metrics = exp.ownMetrics();
+  exp.run();
+  const obs::Series* qth = metrics.findSeries("tlb.leaf0.qth_bytes");
+  ASSERT_NE(qth, nullptr);
+  EXPECT_FALSE(qth->empty());
+}
+
 TEST(Experiment, NonTlbSchemesHaveNoQthTrace) {
-  auto cfg = smallConfig(Scheme::kEcmp);
-  cfg.sampleInterval = microseconds(100);
-  const auto res = runExperiment(cfg);
-  EXPECT_TRUE(res.tlbQthPackets.empty());
+  Experiment exp(smallConfig(Scheme::kEcmp));
+  const auto& metrics = exp.ownMetrics();
+  exp.run();
+  EXPECT_EQ(metrics.findSeries("tlb.leaf0.qth_bytes"), nullptr);
+  EXPECT_EQ(metrics.toJson().find("\"tlb."), std::string::npos)
+      << "an ECMP run must register no tlb.* metric";
 }
 
 TEST(Experiment, QueueLenSamplesAreNonNegative) {

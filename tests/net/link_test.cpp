@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace tlbsim::net {
@@ -115,6 +116,49 @@ TEST(Link, DequeueHookReportsQueueDelay) {
   ASSERT_EQ(delays.size(), 2u);
   EXPECT_EQ(delays[0], 0_ns);                 // went straight to the wire
   EXPECT_EQ(delays[1], microseconds(12));  // waited one serialization
+}
+
+TEST(Link, TwoDequeueHooksBothFire) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  Link link(simr, gbps(1), microseconds(1), {16, 0});
+  link.connect(&sink, 0);
+  int first = 0;
+  int second = 0;
+  link.addDequeueHook([&](const Packet&, SimTime) { ++first; });
+  link.addDequeueHook([&](const Packet&, SimTime) { ++second; });
+  for (FlowId f = 1; f <= 3; ++f) link.send(makePacket(f, 1500_B));
+  simr.run();
+  EXPECT_EQ(first, 3);
+  EXPECT_EQ(second, 3);
+}
+
+TEST(Link, DropAndEcnMarkAccounting) {
+  sim::Simulator simr;
+  SinkNode sink(simr);
+  // Two-packet buffer with marking from one queued packet onward.
+  Link link(simr, gbps(1), microseconds(1), {2, 1});
+  link.connect(&sink, 0);
+  obs::MetricsRegistry metrics;
+  link.installObs(metrics, nullptr, "a");
+  for (FlowId f = 1; f <= 5; ++f) {
+    Packet p = makePacket(f, 1500_B);
+    p.ecnCapable = true;
+    link.send(p);
+  }
+  // p1 dequeues immediately; p2 enqueues into an empty queue (no mark);
+  // p3 sees one queued packet and is marked; p4 and p5 overflow.
+  simr.run();
+  EXPECT_EQ(link.drops(), 2u);
+  EXPECT_EQ(link.queue().ecnMarks(), 1u);
+  EXPECT_EQ(link.enqueuedPackets(), 3u);
+  EXPECT_EQ(metrics.findCounter("port.a.drops")->value(), 2u);
+  EXPECT_EQ(metrics.findCounter("port.a.ecn_marks")->value(), 1u);
+  EXPECT_EQ(metrics.findCounter("port.a.tx_packets")->value(), 3u);
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  for (const auto& a : sink.arrivals) {
+    EXPECT_EQ(a.pkt.ce, a.pkt.flow == 3u) << "flow " << a.pkt.flow;
+  }
 }
 
 TEST(Link, QueueStateVisibleToObservers) {

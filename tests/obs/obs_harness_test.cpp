@@ -203,7 +203,7 @@ TEST(ObsHarness, FlowProbeRecordsMatchTheLedger) {
       EXPECT_EQ(rec->fct, lf.fct);
     }
     EXPECT_EQ(rec->size, lf.spec.size);
-    EXPECT_EQ(rec->isShort, lf.spec.size < cfg.shortThreshold);
+    EXPECT_EQ(rec->isShort, stats::FlowLedger::isShort(lf));
   }
 
   // The ledger's headline AFCT and p99 are reproducible from the probe's

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/time_series.hpp"
-
 namespace tlbsim::stats {
 namespace {
 
@@ -24,41 +22,6 @@ TEST(Table, ShortRowsTolerated) {
   Table t({"a", "b", "c"});
   t.addRow({"only-one"});
   t.print("short rows");
-}
-
-TEST(TimeSeries, MeanAndMax) {
-  TimeSeries ts;
-  ts.add(0_ns, 1.0);
-  ts.add(1_ns, 3.0);
-  ts.add(2_ns, 2.0);
-  EXPECT_DOUBLE_EQ(ts.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(ts.max(), 3.0);
-  EXPECT_EQ(ts.size(), 3u);
-}
-
-TEST(TimeSeries, EmptyIsSafe) {
-  TimeSeries ts;
-  EXPECT_DOUBLE_EQ(ts.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.max(), 0.0);
-  EXPECT_TRUE(ts.empty());
-}
-
-TEST(TimeSeries, DownsampleKeepsOrder) {
-  TimeSeries ts;
-  for (int i = 0; i < 100; ++i) ts.add(SimTime::fromNs(i), i);
-  const auto ds = ts.downsample(10);
-  EXPECT_LE(ds.size(), 12u);
-  EXPECT_GE(ds.size(), 9u);
-  for (std::size_t i = 1; i < ds.points().size(); ++i) {
-    EXPECT_LT(ds.points()[i - 1].first, ds.points()[i].first);
-  }
-}
-
-TEST(TimeSeries, DownsampleSmallSeriesUnchanged) {
-  TimeSeries ts;
-  ts.add(0_ns, 1.0);
-  ts.add(1_ns, 2.0);
-  EXPECT_EQ(ts.downsample(10).size(), 2u);
 }
 
 }  // namespace

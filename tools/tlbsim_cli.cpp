@@ -768,7 +768,11 @@ int main(int argc, char** argv) {
   t.print("tlbsim_cli results");
 
   if (!opt.csvPath.empty()) {
-    stats::writeFlowsCsv(opt.csvPath, res.ledger);
+    if (!stats::writeFlowsCsv(opt.csvPath, res.ledger)) {
+      std::fprintf(stderr, "cannot write per-flow CSV '%s'\n",
+                   opt.csvPath.c_str());
+      return 1;
+    }
     std::printf("per-flow CSV written to %s\n", opt.csvPath.c_str());
   }
   if (!opt.metricsJsonPath.empty()) {
