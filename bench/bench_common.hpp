@@ -1,16 +1,18 @@
 // Shared scenario builders for the figure-reproduction benches.
 //
-// Each bench binary reproduces one figure of the paper and prints the same
-// rows/series the figure plots. Default scales are reduced to finish on a
-// single core; pass --full for the paper's scale (documented per bench).
+// Each bench prints the rows/series the paper's figures plot (`figures`
+// holds the grid figures and ablations as specs; the others are one
+// binary per figure). Default scales are reduced to finish on a single
+// core; pass --full for the paper's scale (documented per bench).
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -19,9 +21,9 @@
 
 namespace tlbsim::bench {
 
-/// The flag vocabulary every bench binary shares. Benches that sweep
-/// through the runner honor all four; single-run benches still reject
-/// unknown flags instead of silently ignoring a typo.
+/// The flag vocabulary every bench binary shares. Each bench names the
+/// flags it honours; parseBenchArgs rejects the others, so a flag is never
+/// parsed and then silently ignored.
 struct BenchArgs {
   bool full = false;        ///< paper scale instead of the reduced default
   int jobs = 0;             ///< sweep worker threads; 0 = all cores
@@ -32,59 +34,74 @@ struct BenchArgs {
   std::string flowsJsonPath;
 };
 
-/// Parse the shared bench flags. Unknown flags and malformed values are
-/// fatal (exit 1); --help prints the vocabulary and exits 0.
-inline BenchArgs parseBenchArgs(int argc, char** argv) {
+/// One shared flag, as a bit of the set a bench honours.
+enum BenchFlag : unsigned {
+  kFull = 1u << 0,
+  kJobs = 1u << 1,
+  kSeed = 1u << 2,
+  kJson = 1u << 3,
+  kFlowsJson = 1u << 4,
+  kAllFlags = kFull | kJobs | kSeed | kJson | kFlowsJson,
+};
+
+/// Prints `message` to stderr and exits 1.
+[[noreturn]] inline void fail(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(1);
+}
+
+/// Parse the shared bench flags. Unknown flags, flags outside `honoured`
+/// and malformed values are fatal (exit 1); --help names the flags this
+/// bench honours and exits 0. Arguments that are not flags are collected
+/// into `operands` when the bench takes any, and are fatal otherwise.
+inline BenchArgs parseBenchArgs(int argc, char** argv, unsigned honoured,
+                                std::vector<std::string>* operands = nullptr) {
+  static constexpr std::pair<const char*, unsigned> kFlags[] = {
+      {"--full", kFull},
+      {"--jobs", kJobs},
+      {"--seed", kSeed},
+      {"--json", kJson},
+      {"--flows-json", kFlowsJson},
+  };
   BenchArgs args;
-  const auto usage = [&](std::FILE* out) {
-    std::fprintf(out,
-                 "usage: %s [--full] [--jobs N] [--seed N] [--json PATH]\n"
-                 "          [--flows-json PATH]\n"
-                 "  --full       run at the paper's scale\n"
-                 "  --jobs N     sweep worker threads (default: all cores)\n"
-                 "  --seed N     base RNG seed (default 1)\n"
-                 "  --json PATH  write results JSON here instead of the\n"
-                 "               bench's default BENCH_*.json\n"
-                 "  --flows-json PATH  write per-flow telemetry NDJSON\n"
-                 "               (sweep benches; analyze with tlbsim_flows)\n",
-                 argv[0]);
-  };
-  const auto next = [&](int* i, const char* flag) -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag);
-      std::exit(1);
-    }
-    return argv[++*i];
-  };
-  const auto parseU64 = [](const char* flag, const char* v) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr, "bad value '%s' for %s\n", v, flag);
-      std::exit(1);
-    }
-    return static_cast<std::uint64_t>(n);
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--full") {
-      args.full = true;
-    } else if (arg == "--jobs") {
-      args.jobs = static_cast<int>(parseU64("--jobs", next(&i, "--jobs")));
-    } else if (arg == "--seed") {
-      args.seed = parseU64("--seed", next(&i, "--seed"));
-    } else if (arg == "--json") {
-      args.jsonPath = next(&i, "--json");
-    } else if (arg == "--flows-json") {
-      args.flowsJsonPath = next(&i, "--flows-json");
-    } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
+    if (arg == "--help" || arg == "-h") {
+      std::printf("usage: %s%s", argv[0],
+                  operands != nullptr ? " NAME..." : "");
+      for (const auto& [name, bit] : kFlags) {
+        if ((honoured & bit) != 0) std::printf(" [%s]", name);
+      }
+      std::printf("\n");
       std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      usage(stderr);
-      std::exit(1);
     }
+    if (operands != nullptr && arg.rfind('-', 0) != 0) {
+      operands->push_back(arg);
+      continue;
+    }
+    unsigned bit = 0;
+    for (const auto& [name, b] : kFlags) {
+      if (arg == name) bit = b;
+    }
+    if (bit == 0) fail("unknown flag '" + arg + "' (--help lists them)");
+    if ((honoured & bit) == 0) {
+      fail(std::string(argv[0]) + " does not honour " + arg);
+    }
+    if (bit == kFull) {
+      args.full = true;
+      continue;
+    }
+    if (i + 1 >= argc) fail("missing value for " + arg);
+    const char* value = argv[++i];
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(value, &end, 10);
+    if ((bit == kJobs || bit == kSeed) && (end == value || *end != '\0')) {
+      fail("bad value '" + std::string(value) + "' for " + arg);
+    }
+    if (bit == kJobs) args.jobs = static_cast<int>(n);
+    if (bit == kSeed) args.seed = n;
+    if (bit == kJson) args.jsonPath = value;
+    if (bit == kFlowsJson) args.flowsJsonPath = value;
   }
   return args;
 }
@@ -130,11 +147,8 @@ inline std::string gitRevision() {
 /// `count` consecutive seeds starting at `base` (the repetition axis of a
 /// sweep; --seed shifts the whole axis).
 inline std::vector<std::uint64_t> seedAxis(std::uint64_t base, int count) {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    seeds.push_back(base + static_cast<std::uint64_t>(i));
-  }
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
+  std::iota(seeds.begin(), seeds.end(), base);
   return seeds;
 }
 
@@ -183,8 +197,7 @@ inline void addBasicMix(harness::ExperimentConfig& cfg, int numShort = 100,
 /// The Mininet testbed setup (Section 7): 10 equal-cost paths, 20 Mbps
 /// links, 1 ms per-link delay, 256-packet buffers. At these rates the
 /// default scale IS the paper's scale.
-inline harness::ExperimentConfig testbedSetup(harness::Scheme scheme,
-                                              std::uint64_t seed = 1) {
+inline harness::ExperimentConfig testbedSetup(harness::Scheme scheme) {
   harness::ExperimentConfig cfg;
   cfg.topo.numLeaves = 2;
   cfg.topo.numSpines = 10;
@@ -208,9 +221,8 @@ inline harness::ExperimentConfig testbedSetup(harness::Scheme scheme,
   cfg.tcp.maxRto = seconds(2);
   // The 2019-era testbed kernel stack has no RACK-style reordering
   // tolerance; spurious fast retransmits cascade exactly as they did
-  // there (see ablation_tcp_guard for the controlled comparison).
+  // there (`figures ablation_tcp_guard` is the controlled comparison).
   cfg.tcp.holeRetransmitGuard = false;
-  cfg.seed = seed;
   cfg.maxDuration = seconds(200);
   return cfg;
 }
@@ -240,8 +252,7 @@ inline void addTestbedMix(harness::ExperimentConfig& cfg, int numShort = 100,
 /// the default here is a 4x4 fabric with 2:1 oversubscription so the sweep
 /// finishes quickly, and --full restores the paper's 8x8x256 at 4:1.
 inline harness::ExperimentConfig largeScaleSetup(harness::Scheme scheme,
-                                                 bool full,
-                                                 std::uint64_t seed = 1) {
+                                                 bool full) {
   harness::ExperimentConfig cfg;
   cfg.topo.numLeaves = full ? 8 : 4;
   cfg.topo.numSpines = full ? 8 : 4;
@@ -250,7 +261,6 @@ inline harness::ExperimentConfig largeScaleSetup(harness::Scheme scheme,
   cfg.topo.bufferPackets = 256;
   cfg.topo.ecnThresholdPackets = 65;
   cfg.scheme.scheme = scheme;
-  cfg.seed = seed;
   cfg.maxDuration = seconds(30);
   return cfg;
 }

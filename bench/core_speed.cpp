@@ -346,7 +346,8 @@ void writeComparison(std::FILE* f, const Comparison& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv, bench::kFull | bench::kJobs | bench::kSeed | bench::kJson);
   const std::uint64_t events = args.full ? 10'000'000 : 2'000'000;
   std::printf("Event-core speed: indexed 4-ary heap vs seed scheduler\n");
 
@@ -392,7 +393,7 @@ int main(int argc, char** argv) {
   writeComparison(f, micro);
   writeComparison(f, population);
   std::fprintf(f,
-               "  \"macro\": {\"scenario\": \"fig10_websearch %s\", "
+               "  \"macro\": {\"scenario\": \"figures fig10 %s\", "
                "\"runs\": %d, \"jobs\": %d, \"wall_s\": %.3f}\n"
                "}\n",
                args.full ? "default grid" : "tlb @ load 0.8", macroRuns,

@@ -196,7 +196,8 @@ void printResult(const char* name, const SoakResult& r) {
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv, bench::kFull | bench::kSeed | bench::kJson);
   const std::uint64_t decisions = args.full ? 16'000'000 : 8'000'000;
   std::printf(
       "Decision-path cost: bounded flow-state table vs seed unordered_map\n"

@@ -29,7 +29,8 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv, bench::kFull | bench::kJobs | bench::kSeed | bench::kJson);
   std::printf("Failure recovery: TLB vs ECMP/Presto/LetFlow/Hermes\n");
 
   const std::vector<harness::Scheme> schemes = {

@@ -56,7 +56,7 @@ harness::FatTreeExperimentConfig makeConfig(harness::Scheme scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::parseBenchArgs(argc, argv).full;
+  const bool full = bench::parseBenchArgs(argc, argv, bench::kFull).full;
   std::printf("Extension: schemes on a k=%d fat-tree (2 LB tiers)\n",
               full ? 8 : 4);
 

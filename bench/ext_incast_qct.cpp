@@ -25,7 +25,8 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv, bench::kFull | bench::kJobs | bench::kSeed | bench::kJson);
   std::printf("Incast QCT: partition-aggregate queries per scheme\n");
 
   const std::vector<harness::Scheme> schemes = harness::allSchemes();

@@ -19,9 +19,8 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  const bool full = bench::parseBenchArgs(argc, argv).full;
-  const int numShort = full ? 100 : 100;  // paper scale is already small
-  const int numLong = 5;
+  // The paper's scale is already small: no --full, and one fixed seed.
+  (void)bench::parseBenchArgs(argc, argv, /*honoured=*/0);
 
   std::printf("Figure 3: impact of switching granularity on short flows\n");
   std::printf("(flow-level / flowlet-level / packet-level, basic setup)\n");
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
   std::vector<harness::ExperimentResult> results;
   for (const auto& g : bench::kGranularities) {
     auto cfg = bench::basicSetup(g.scheme);
-    bench::addBasicMix(cfg, numShort, numLong);
+    bench::addBasicMix(cfg);
     // tlbsim-lint: allow(bench-direct-experiment)
     results.push_back(harness::runExperiment(cfg));
     dup.addRow(g.label, {results.back().shortDupAckRatioTotal()}, 4);

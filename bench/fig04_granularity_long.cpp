@@ -15,7 +15,7 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  (void)bench::parseBenchArgs(argc, argv);
+  (void)bench::parseBenchArgs(argc, argv, /*honoured=*/0);
 
   std::printf("Figure 4: impact of switching granularity on long flows\n");
 

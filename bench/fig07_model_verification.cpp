@@ -145,7 +145,7 @@ void sweep(const char* title, const char* xlabel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::parseBenchArgs(argc, argv).full;
+  const bool full = bench::parseBenchArgs(argc, argv, bench::kFull).full;
   std::printf("Figure 7: numeric (Eq. 9) vs simulated switching threshold\n");
 
   {

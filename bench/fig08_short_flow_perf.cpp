@@ -17,7 +17,8 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv, bench::kJobs | bench::kSeed | bench::kJson);
   std::printf("Figure 8: short-flow reordering and queueing delay\n");
 
   runner::SweepSpec spec;

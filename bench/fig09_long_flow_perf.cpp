@@ -14,7 +14,7 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  (void)bench::parseBenchArgs(argc, argv);
+  (void)bench::parseBenchArgs(argc, argv, /*honoured=*/0);
   std::printf("Figure 9: long-flow reordering and instantaneous throughput\n");
 
   const harness::Scheme schemes[] = {

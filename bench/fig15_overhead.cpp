@@ -294,7 +294,8 @@ int main(int argc, char** argv) {
   // google-benchmark consumes its --benchmark_* flags first; whatever
   // remains must be the shared bench vocabulary.
   benchmark::Initialize(&argc, argv);
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args =
+      bench::parseBenchArgs(argc, argv, bench::kSeed | bench::kJson);
   benchmark::RunSpecifiedBenchmarks();
   printStateFootprint();
   writeObsOverheadJson(args, args.jsonPath.empty()

@@ -14,7 +14,8 @@
 using namespace tlbsim;
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv, bench::kFull | bench::kJobs | bench::kSeed | bench::kJson);
   std::printf("Sweep engine scaling: jobs=1 vs jobs=%d\n",
               runner::resolveJobs(args.jobs));
 

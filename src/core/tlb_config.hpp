@@ -68,7 +68,7 @@ struct TlbConfig {
   /// Ablation knob: when > 0, a short flow leaves its current uplink only
   /// when another queue is shorter by more than this many bytes. The
   /// default 0 is the paper's rule (pure per-packet shortest queue); the
-  /// bench/ablation_spray_policy study quantifies the tradeoff.
+  /// `figures ablation_spray_policy` study quantifies the tradeoff.
   ByteCount sprayStickiness;
 
   /// Upper clamp on q_th in packets, beyond the buffer clamp. With DCTCP

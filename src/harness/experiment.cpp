@@ -433,7 +433,6 @@ ExperimentResult Experiment::run() const {
   // Queue distributions + aggregate link counters.
   res.shortQueueLenPkts = qmon.shortQueueLenPkts();
   res.shortDelayUsAll = qmon.shortDelayUs();
-  res.longQueueLenPkts = qmon.longQueueLenPkts();
   res.shortQueueDelayUs = qmon.shortDelaySeries();
 
   for (const auto* tlb : tlbs) res.tlbLongSwitches += tlb->longFlowSwitches();

@@ -93,7 +93,6 @@ struct ExperimentResult {
   // Queue-delay distributions at the sender-leaf fabric queues.
   SampleSet shortQueueLenPkts;  ///< Fig. 3(a)
   SampleSet shortDelayUsAll;
-  SampleSet longQueueLenPkts;
 
   std::uint64_t totalDrops = 0;
   std::uint64_t totalEcnMarks = 0;

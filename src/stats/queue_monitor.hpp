@@ -1,9 +1,9 @@
 // Queue-delay observation at the load-balanced fabric queues.
 //
-// Hooks into links' dequeue path and attributes each data packet's queueing
-// delay to its flow class (short/long). Feeds Fig. 3(a) (queue length
-// experienced by short-flow packets) and Fig. 8(b) (short-flow queueing
-// delay over time).
+// Hooks into links' dequeue path and records the queueing delay of each
+// short-flow data packet; long-flow packets are not sampled. Feeds Fig.
+// 3(a) (queue length experienced by short-flow packets) and Fig. 8(b)
+// (short-flow queueing delay over time).
 #pragma once
 
 #include <functional>
@@ -36,18 +36,12 @@ class QueueDelayMonitor {
   }
 
   void record(const net::Packet& pkt, SimTime delay, double drainBps) {
-    if (!pkt.isData()) return;
+    if (!pkt.isData() || !isShort_(pkt.flow)) return;
     const double delayUs = toMicroseconds(delay);
-    const double lenPkts = toSeconds(delay) * drainBps / 1500.0;
-    if (isShort_(pkt.flow)) {
-      shortDelayUs_.add(delayUs);
-      shortQueueLenPkts_.add(lenPkts);
-      intervalShortDelaySum_ += delayUs;
-      ++intervalShortCount_;
-    } else {
-      longDelayUs_.add(delayUs);
-      longQueueLenPkts_.add(lenPkts);
-    }
+    shortDelayUs_.add(delayUs);
+    shortQueueLenPkts_.add(toSeconds(delay) * drainBps / 1500.0);
+    intervalShortDelaySum_ += delayUs;
+    ++intervalShortCount_;
   }
 
   /// Close the current sampling interval; emits the interval's mean
@@ -63,17 +57,13 @@ class QueueDelayMonitor {
   }
 
   const SampleSet& shortDelayUs() const { return shortDelayUs_; }
-  const SampleSet& longDelayUs() const { return longDelayUs_; }
   const SampleSet& shortQueueLenPkts() const { return shortQueueLenPkts_; }
-  const SampleSet& longQueueLenPkts() const { return longQueueLenPkts_; }
   const obs::Series& shortDelaySeries() const { return shortDelaySeries_; }
 
  private:
   Classifier isShort_;
   SampleSet shortDelayUs_;
-  SampleSet longDelayUs_;
   SampleSet shortQueueLenPkts_;
-  SampleSet longQueueLenPkts_;
   obs::Series shortDelaySeries_;
   double intervalShortDelaySum_ = 0.0;
   std::uint64_t intervalShortCount_ = 0;
