@@ -2,28 +2,28 @@
 // fat-tree, where load-balancing decisions stack at the edge AND
 // aggregation tiers. The paper's evaluation is leaf-spine only; this
 // checks that TLB's per-switch design composes across tiers.
+//
+// The runs go through the sweep engine with paired seeds: at each seed
+// every scheme draws the same traffic. --json writes the sweep report,
+// byte-identical for any --jobs value (CI diffs two worker counts).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "harness/fat_tree_experiment.hpp"
+#include "runner/runner.hpp"
 
 using namespace tlbsim;
 
 namespace {
 
-harness::FatTreeExperimentConfig makeConfig(harness::Scheme scheme,
-                                            std::uint64_t seed, bool full) {
-  harness::FatTreeExperimentConfig cfg;
-  cfg.topo.k = full ? 8 : 4;
-  cfg.scheme.scheme = scheme;
-  cfg.seed = seed;
-  cfg.maxDuration = seconds(20);
-
-  // Cross-pod heavy-tailed mix: long flows pod0 -> pod2, Poisson-ish
-  // shorts between random cross-pod pairs.
-  Rng rng(seed * 31 + 7);
-  const int hosts = cfg.topo.numHosts();
-  const int hostsPerPod = cfg.topo.k * cfg.topo.k / 4;
+/// Cross-pod heavy-tailed mix drawn from cfg.seed: long flows pod0 ->
+/// pod2, Poisson-ish shorts between random cross-pod pairs.
+void addCrossPodMix(harness::ExperimentConfig& cfg, bool full) {
+  Rng rng(cfg.seed * 31 + 7);
+  const net::FatTreeConfig& ft = cfg.fatTree.value();
+  const int hosts = ft.numHosts();
+  const int hostsPerPod = ft.k * ft.k / 4;
   FlowId id = 1;
   for (int i = 0; i < (full ? 16 : 4); ++i) {
     transport::FlowSpec f;
@@ -50,41 +50,71 @@ harness::FatTreeExperimentConfig makeConfig(harness::Scheme scheme,
     f.deadline = milliseconds(25);
     cfg.flows.push_back(f);
   }
-  return cfg;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = bench::parseBenchArgs(argc, argv, bench::kFull).full;
+  const bench::BenchArgs args = bench::parseBenchArgs(
+      argc, argv,
+      bench::kFull | bench::kJobs | bench::kSeed | bench::kJson |
+          bench::kFlowsJson);
   std::printf("Extension: schemes on a k=%d fat-tree (2 LB tiers)\n",
-              full ? 8 : 4);
+              args.full ? 8 : 4);
+
+  runner::SweepSpec spec;
+  spec.schemes = {harness::Scheme::kEcmp,    harness::Scheme::kRps,
+                  harness::Scheme::kPresto,  harness::Scheme::kLetFlow,
+                  harness::Scheme::kConga,   harness::Scheme::kHermes,
+                  harness::Scheme::kTlb};
+  spec.seeds = bench::seedAxis(args.seed, 3);
+  spec.sweepSeed = args.seed;
+
+  runner::SweepScenario scenario;
+  scenario.base = [&args](const runner::SweepPoint&) {
+    harness::ExperimentConfig cfg;
+    net::FatTreeConfig ft;
+    ft.k = args.full ? 8 : 4;
+    cfg.fatTree = ft;
+    cfg.maxDuration = seconds(20);
+    return cfg;
+  };
+  scenario.workload = [&args](harness::ExperimentConfig& cfg,
+                              const runner::SweepPoint& pt) {
+    cfg.seed = pt.baseSeed;  // paired across schemes
+    addCrossPodMix(cfg, args.full);
+  };
+
+  runner::RunnerOptions ropt;
+  ropt.jobs = args.jobs;
+  ropt.flowsNdjsonPath = args.flowsJsonPath;
+  ropt.onRunDone = [](const runner::SweepPoint& pt,
+                      const harness::ExperimentResult&) {
+    std::fprintf(stderr, "  %s done\n", pt.label().c_str());
+  };
+  runner::SweepReport report;
+  try {
+    report = runner::runSweep(spec, scenario, ropt);
+  } catch (const std::exception& e) {
+    bench::fail(e.what());
+  }
 
   stats::Table t({"scheme", "short AFCT (ms)", "short p99 (ms)", "miss (%)",
                   "long goodput (Mbps)", "drops"});
-
-  const harness::Scheme schemes[] = {
-      harness::Scheme::kEcmp,    harness::Scheme::kRps,
-      harness::Scheme::kPresto,  harness::Scheme::kLetFlow,
-      harness::Scheme::kConga,   harness::Scheme::kHermes,
-      harness::Scheme::kTlb};
-
-  for (const auto scheme : schemes) {
-    double afct = 0, p99 = 0, miss = 0, tput = 0, drops = 0;
-    const std::vector<std::uint64_t> seeds = {1, 2, 3};
-    for (const std::uint64_t seed : seeds) {
-      const auto res =
-          harness::runFatTreeExperiment(makeConfig(scheme, seed, full));
-      afct += res.shortAfctSec() * 1e3;
-      p99 += res.shortP99Sec() * 1e3;
-      miss += res.shortMissRatio() * 100.0;
-      tput += res.longGoodputGbps() * 1e3;
-      drops += static_cast<double>(res.totalDrops);
+  const char* keys[] = {"short_afct_ms", "short_p99_ms", "deadline_miss_ratio",
+                        "long_goodput_gbps", "fabric_drops"};
+  const double scales[] = {1.0, 1.0, 100.0, 1e3, 1.0};
+  for (const harness::Scheme scheme : spec.schemes) {
+    // Seed-axis means, summed in seed order.
+    std::vector<double> row(std::size(keys), 0.0);
+    for (const runner::RunOutcome& run : report.runs) {
+      if (run.point.scheme != scheme) continue;
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        row[k] += *run.summary.value(keys[k]) * scales[k];
+      }
     }
-    const double n = static_cast<double>(seeds.size());
-    t.addRow(harness::schemeName(scheme),
-             {afct / n, p99 / n, miss / n, tput / n, drops / n}, 2);
-    std::fprintf(stderr, "  %s done\n", harness::schemeName(scheme));
+    for (double& v : row) v /= static_cast<double>(spec.seeds.size());
+    t.addRow(harness::schemeName(scheme), row, 2);
   }
 
   t.print("fat-tree cross-pod mix (3 seeds)");
@@ -92,5 +122,11 @@ int main(int argc, char** argv) {
       "\nTLB runs unchanged at both tiers; its per-switch flow tables and\n"
       "granularity calculators are independent, exactly like the paper's\n"
       "per-leaf deployment.\n");
+  if (!args.jsonPath.empty()) {
+    if (!report.writeJsonFile(args.jsonPath)) {
+      bench::fail("cannot write " + args.jsonPath);
+    }
+    std::printf("sweep JSON written to %s\n", args.jsonPath.c_str());
+  }
   return 0;
 }

@@ -28,11 +28,11 @@ workload::FlowSizeDistribution makeResponseDist(const AppConfig& cfg) {
 
 }  // namespace
 
-Service::Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
+Service::Service(sim::Simulator& simr, net::Fabric& fabric,
                  const AppConfig& cfg, const transport::TcpParams& tcp,
                  std::uint64_t seed, FlowId firstFlowId)
     : sim_(simr),
-      topo_(topo),
+      fabric_(fabric),
       cfg_(cfg),
       tcp_(tcp),
       // Decorrelated from the harness's per-leaf selector salts.
@@ -40,7 +40,19 @@ Service::Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
       factory_(firstFlowId),
       responseDist_(makeResponseDist(cfg)) {
   TLBSIM_ASSERT(cfg_.fanOut > 0, "app.fan-out must be positive");
-  TLBSIM_ASSERT(topo_.numHosts() > 1, "app layer needs at least two hosts");
+  TLBSIM_ASSERT(fabric_.numHosts() > 1, "app layer needs at least two hosts");
+  std::vector<const net::Node*> switches;  // parallel to accessGroups_
+  for (int h = 0; h < fabric_.numHosts(); ++h) {
+    const net::Node* access = fabric_.host(h).uplink().peer();
+    const auto it = std::find(switches.begin(), switches.end(), access);
+    const auto group = static_cast<std::size_t>(it - switches.begin());
+    if (it == switches.end()) {
+      switches.push_back(access);
+      accessGroups_.emplace_back();
+    }
+    accessGroupOf_.push_back(group);
+    accessGroups_[group].push_back(static_cast<net::HostId>(h));
+  }
 }
 
 Service::~Service() = default;
@@ -78,7 +90,7 @@ void Service::issueQuery() {
   queries_.emplace_back();
   Query& q = queries_[qi];
   q.id = launched_++;
-  const int numHosts = topo_.numHosts();
+  const int numHosts = fabric_.numHosts();
   q.aggregator = static_cast<net::HostId>(
       cfg_.aggregator >= 0 ? cfg_.aggregator % numHosts : q.id % numHosts);
   q.start = sim_.now();
@@ -113,17 +125,19 @@ void Service::issueQuery() {
 void Service::pickWorkers(net::HostId aggregator, std::vector<Slot>& slots) {
   std::vector<net::HostId> candidates;
   if (cfg_.placement == Placement::kSpread) {
-    // Leaves other than the aggregator's first, interleaved across leaves,
-    // so the fan-out crosses the fabric as widely as possible; a rotating
-    // cursor spreads successive queries over different workers.
-    const int leaves = topo_.numLeaves();
-    const int perLeaf = topo_.config().hostsPerLeaf;
-    const int aggLeaf = topo_.leafOf(aggregator);
-    for (int h = 0; h < perLeaf; ++h) {
-      for (int off = 1; off <= leaves; ++off) {
-        const auto host = static_cast<net::HostId>(
-            ((aggLeaf + off) % leaves) * perLeaf + h);
-        if (host != aggregator) candidates.push_back(host);
+    // Access switches other than the aggregator's first, interleaved
+    // across switches, so the fan-out crosses the fabric as widely as
+    // possible; a rotating cursor spreads successive queries over
+    // different workers.
+    const std::size_t groups = accessGroups_.size();
+    const std::size_t aggGroup =
+        accessGroupOf_[static_cast<std::size_t>(aggregator)];
+    std::size_t widest = 0;
+    for (const auto& g : accessGroups_) widest = std::max(widest, g.size());
+    for (std::size_t h = 0; h < widest; ++h) {
+      for (std::size_t off = 1; off <= groups; ++off) {
+        const auto& g = accessGroups_[(aggGroup + off) % groups];
+        if (h < g.size() && g[h] != aggregator) candidates.push_back(g[h]);
       }
     }
     const auto n = candidates.size();
@@ -135,7 +149,7 @@ void Service::pickWorkers(net::HostId aggregator, std::vector<Slot>& slots) {
         (static_cast<std::size_t>(spreadCursor_) + slots.size()) % n);
     return;
   }
-  for (int h = 0; h < topo_.numHosts(); ++h) {
+  for (int h = 0; h < fabric_.numHosts(); ++h) {
     if (static_cast<net::HostId>(h) != aggregator) {
       candidates.push_back(static_cast<net::HostId>(h));
     }
@@ -236,9 +250,9 @@ void Service::launchFlow(const transport::FlowSpec& spec,
                          // tlbsim-lint: allow(std-function-hot-path)
                          std::function<void()> onComplete) {
   receivers_.push_back(std::make_unique<transport::TcpReceiver>(
-      sim_, topo_.host(static_cast<int>(spec.dst)), spec, tcp_));
+      sim_, fabric_.host(static_cast<int>(spec.dst)), spec, tcp_));
   senders_.push_back(std::make_unique<transport::TcpSender>(
-      sim_, topo_.host(static_cast<int>(spec.src)), spec, tcp_,
+      sim_, fabric_.host(static_cast<int>(spec.src)), spec, tcp_,
       [cb = std::move(onComplete)](transport::TcpSender&) { cb(); }));
   transport::TcpSender& sender = *senders_.back();
   if (metrics_ != nullptr || trace_ != nullptr) {

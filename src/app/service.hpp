@@ -32,7 +32,7 @@
 
 #include "app/app_config.hpp"
 #include "app/flow_factory.hpp"
-#include "net/leaf_spine.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "transport/tcp_params.hpp"
 #include "util/rng.hpp"
@@ -65,7 +65,7 @@ class Service {
 
   /// `firstFlowId` must be past every statically-generated flow id so app
   /// flows never collide with a cfg.flows workload sharing the run.
-  Service(sim::Simulator& simr, net::LeafSpineTopology& topo,
+  Service(sim::Simulator& simr, net::Fabric& fabric,
           const AppConfig& cfg, const transport::TcpParams& tcp,
           std::uint64_t seed, FlowId firstFlowId);
   ~Service();
@@ -149,7 +149,11 @@ class Service {
                   std::function<void()> onComplete);
 
   sim::Simulator& sim_;
-  net::LeafSpineTopology& topo_;
+  net::Fabric& fabric_;
+  /// Hosts grouped by access switch (groups in order of their first host,
+  /// hosts in id order), and each host's group: the kSpread layout.
+  std::vector<std::vector<net::HostId>> accessGroups_;
+  std::vector<std::size_t> accessGroupOf_;
   AppConfig cfg_;
   transport::TcpParams tcp_;
   Rng rng_;

@@ -5,7 +5,7 @@
 
 #include "app/service.hpp"
 #include "core/tlb.hpp"
-#include "net/leaf_spine.hpp"
+#include "net/fabric.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
@@ -37,22 +37,19 @@ void InvariantAuditor::watchFlow(const transport::TcpSender& sender,
   flows_.push_back(WatchedFlow{&sender, &receiver, mss});
 }
 
-void InvariantAuditor::watchTopology(net::LeafSpineTopology& topo) {
-  for (int h = 0; h < topo.numHosts(); ++h) {
-    watchLink(topo.host(h).uplink(), "host" + std::to_string(h) + "->leaf");
-    watchLink(topo.leafDownlink(static_cast<net::HostId>(h)),
-              "leaf->host" + std::to_string(h));
+void InvariantAuditor::watchTopology(net::Fabric& fabric) {
+  for (int h = 0; h < fabric.numHosts(); ++h) {
+    const net::Host& host = fabric.host(h);
+    watchLink(host.uplink(),
+              host.name() + "->" + host.uplink().peer()->name());
   }
-  for (int l = 0; l < topo.numLeaves(); ++l) {
-    watchSwitch(topo.leaf(l));
-    for (int s = 0; s < topo.numSpines(); ++s) {
-      watchLink(topo.leafUplink(l, s),
-                "leaf" + std::to_string(l) + "->spine" + std::to_string(s));
-      watchLink(topo.spineDownlink(s, l),
-                "spine" + std::to_string(s) + "->leaf" + std::to_string(l));
+  for (int i = 0; i < fabric.numSwitches(); ++i) {
+    net::Switch& sw = fabric.switchAt(i);
+    watchSwitch(sw);
+    for (int p = 0; p < sw.numPorts(); ++p) {
+      watchLink(sw.port(p), net::Fabric::linkLabel(sw, sw.port(p)));
     }
   }
-  for (int s = 0; s < topo.numSpines(); ++s) watchSwitch(topo.spine(s));
   // Every link a packet can traverse is now watched, which closes the
   // end-to-end conservation sum.
   topologyComplete_ = true;

@@ -40,9 +40,9 @@ namespace tlbsim::app {
 class Service;
 }
 namespace tlbsim::net {
+class Fabric;
 class Link;
 class Switch;
-class LeafSpineTopology;
 }  // namespace tlbsim::net
 namespace tlbsim::core {
 class Tlb;
@@ -90,9 +90,9 @@ class InvariantAuditor {
   /// sum stays closed.
   void watchFlow(const transport::TcpSender& sender,
                  const transport::TcpReceiver& receiver, ByteCount mss);
-  /// Every host access link, fabric link, and switch of a leaf-spine
-  /// topology in one call.
-  void watchTopology(net::LeafSpineTopology& topo);
+  /// Every host access link, switch port, and switch of a built fabric
+  /// in one call.
+  void watchTopology(net::Fabric& fabric);
   /// Application-layer open-query accounting: each tick re-checks query
   /// conservation (launched == completed + open) and that every open
   /// query can still make progress (armed retry timer or live attempt) —

@@ -24,9 +24,27 @@ std::uint64_t graySeed(std::uint64_t seed, int leaf, int spine,
 
 }  // namespace
 
-FaultInjector::FaultInjector(FaultPlan plan, net::LeafSpineTopology& topo,
+bool resolveCables(const FaultPlan& plan, net::Fabric& fabric,
+                   std::vector<Cable>* out, std::string* error) {
+  out->clear();
+  for (const FaultEvent& ev : plan.events) {
+    const std::string leaf = "leaf" + std::to_string(ev.leaf);
+    const std::string spine = "spine" + std::to_string(ev.spine);
+    const Cable c{fabric.link(leaf, spine), fabric.link(spine, leaf)};
+    if (c.uplink == nullptr || c.downlink == nullptr) {
+      if (error != nullptr) {
+        *error = "fault cable " + leaf + "-" + spine + " is not in the fabric";
+      }
+      return false;
+    }
+    out->push_back(c);
+  }
+  return true;
+}
+
+FaultInjector::FaultInjector(FaultPlan plan, net::Fabric& fabric,
                              sim::Simulator& simr, std::uint64_t seed)
-    : plan_(std::move(plan)), topo_(topo), sim_(simr), seed_(seed) {}
+    : plan_(std::move(plan)), fabric_(fabric), sim_(simr), seed_(seed) {}
 
 void FaultInjector::installObs(obs::MetricsRegistry* metrics,
                                obs::EventTrace* trace) {
@@ -40,28 +58,24 @@ void FaultInjector::installObs(obs::MetricsRegistry* metrics,
 void FaultInjector::install() {
   TLBSIM_ASSERT(!installed_, "FaultInjector::install() called twice");
   installed_ = true;
-  for (const auto& ev : plan_.events) {
-    TLBSIM_ASSERT(ev.leaf >= 0 && ev.leaf < topo_.numLeaves(),
-                  "fault event leaf %d outside [0, %d)", ev.leaf,
-                  topo_.numLeaves());
-    TLBSIM_ASSERT(ev.spine >= 0 && ev.spine < topo_.numSpines(),
-                  "fault event spine %d outside [0, %d)", ev.spine,
-                  topo_.numSpines());
-  }
+  std::string err;
+  const bool resolved = resolveCables(plan_, fabric_, &cables_, &err);
+  TLBSIM_ASSERT(resolved, "%s", err.c_str());
   // Scheduled in declaration order, so same-time events keep it (the
   // scheduler breaks timestamp ties by scheduling order).
-  for (const auto& ev : plan_.events) {
-    sim_.postAt(ev.at, [this, ev] { apply(ev); });
+  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+    sim_.postAt(plan_.events[i].at, [this, i] { apply(i); });
   }
 }
 
-void FaultInjector::apply(const FaultEvent& ev) {
+void FaultInjector::apply(std::size_t i) {
+  const FaultEvent& ev = plan_.events[i];
+  net::Link& uplink = *cables_[i].uplink;
+  net::Link& downlink = *cables_[i].downlink;
   // The monitor snapshots which flows sit on the link BEFORE the mutation
   // disturbs it.
-  if (monitor_ != nullptr) monitor_->onFault(ev);
+  if (monitor_ != nullptr) monitor_->onFault(ev, uplink);
 
-  net::Link& uplink = topo_.leafUplink(ev.leaf, ev.spine);
-  net::Link& downlink = topo_.spineDownlink(ev.spine, ev.leaf);
   switch (ev.kind) {
     case FaultEvent::Kind::kDown:
       uplink.faultDown(plan_.drainOnDown);

@@ -6,7 +6,9 @@
 //
 // Each plan event applies to BOTH directions of the named leaf<->spine
 // cable (leaf->spine uplink and spine->leaf downlink), matching the
-// static-asymmetry convention of LeafSpineConfig::LinkOverride. Gray
+// static-asymmetry convention of LeafSpineConfig::LinkOverride. Cables
+// are resolved by switch name ("leafL", "spineS") against the built
+// fabric, by the same function that validates a plan before a run. Gray
 // failures draw their per-packet losses from a link-local RNG seeded from
 // (run seed, leaf, spine, direction), so runs are reproducible for any
 // worker count.
@@ -14,9 +16,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "fault/plan.hpp"
-#include "net/leaf_spine.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 
 namespace tlbsim::obs {
@@ -29,13 +32,25 @@ namespace tlbsim::fault {
 
 class FaultMonitor;
 
+/// Both directions of one leaf<->spine cable of a built fabric.
+struct Cable {
+  net::Link* uplink = nullptr;    ///< leaf -> spine
+  net::Link* downlink = nullptr;  ///< spine -> leaf
+};
+
+/// Resolves every event's cable against `fabric`, in plan order, into
+/// *out. Returns false, explaining into *error when non-null, at the
+/// first cable the fabric does not have.
+bool resolveCables(const FaultPlan& plan, net::Fabric& fabric,
+                   std::vector<Cable>* out, std::string* error = nullptr);
+
 class FaultInjector {
  public:
-  /// The topology and simulator must outlive the injector; the plan is
-  /// copied. Every event's link indices are validated against the
-  /// topology on install().
-  FaultInjector(FaultPlan plan, net::LeafSpineTopology& topo,
-                sim::Simulator& simr, std::uint64_t seed);
+  /// The fabric and simulator must outlive the injector; the plan is
+  /// copied. Every event's cable is resolved against the fabric on
+  /// install().
+  FaultInjector(FaultPlan plan, net::Fabric& fabric, sim::Simulator& simr,
+                std::uint64_t seed);
 
   /// Recovery-metric observer, notified of each event just before it is
   /// applied (so the monitor snapshots pre-fault state). Optional; must
@@ -47,7 +62,7 @@ class FaultInjector {
   /// fault on a dedicated "fault" track.
   void installObs(obs::MetricsRegistry* metrics, obs::EventTrace* trace);
 
-  /// Validate the plan against the topology and schedule every event.
+  /// Resolve the plan against the fabric and schedule every event.
   /// Call at most once, before the run starts.
   void install();
 
@@ -55,10 +70,11 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
 
  private:
-  void apply(const FaultEvent& ev);
+  void apply(std::size_t i);
 
   FaultPlan plan_;
-  net::LeafSpineTopology& topo_;
+  net::Fabric& fabric_;
+  std::vector<Cable> cables_;  ///< per plan event, filled by install()
   sim::Simulator& sim_;
   std::uint64_t seed_;
   FaultMonitor* monitor_ = nullptr;

@@ -4,20 +4,22 @@
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "net/switch.hpp"
 #include "obs/flow_probe.hpp"
 
 namespace tlbsim::fault {
 
-FaultMonitor::FaultMonitor(net::LeafSpineTopology& topo,
-                           sim::Simulator& simr,
+FaultMonitor::FaultMonitor(net::Fabric& fabric, sim::Simulator& simr,
                            std::function<bool(FlowId)> isLong, Config cfg)
-    : topo_(topo), sim_(simr), isLong_(std::move(isLong)), cfg_(cfg) {
-  for (int l = 0; l < topo_.numLeaves(); ++l) {
-    for (int s = 0; s < topo_.numSpines(); ++s) {
-      topo_.leafUplink(l, s).addDequeueHook(
-          [this, l, s](const net::Packet& pkt, SimTime) {
-            onDequeue(l, s, pkt);
-          });
+    : sim_(simr), isLong_(std::move(isLong)), cfg_(cfg) {
+  for (net::Switch* sw : fabric.decisionSwitches()) {
+    const std::vector<int>& group = sw->uplinkGroup();
+    for (int slot = 0; slot < static_cast<int>(group.size()); ++slot) {
+      net::Link* link = &sw->port(group[static_cast<std::size_t>(slot)]);
+      link->addDequeueHook([this, link, slot](const net::Packet& pkt,
+                                              SimTime) {
+        onDequeue(link, slot, pkt);
+      });
     }
   }
   simr.every(
@@ -28,25 +30,25 @@ FaultMonitor::FaultMonitor(net::LeafSpineTopology& topo,
       /*start=*/cfg_.sampleInterval, /*name=*/"fault.monitor_sample");
 }
 
-void FaultMonitor::onDequeue(int leaf, int spine, const net::Packet& pkt) {
+void FaultMonitor::onDequeue(const net::Link* uplink, int slot,
+                             const net::Packet& pkt) {
   if (pkt.payload <= 0_B || !isLong_(pkt.flow)) return;
   if (const auto it = pending_.find(pkt.flow); it != pending_.end()) {
-    const Pending& p = it->second;
-    if (leaf != p.leaf || spine != p.spine) {
-      const double delaySec = toSeconds(sim_.now() - p.faultAt);
+    if (uplink != it->second.uplink) {
+      const double delaySec = toSeconds(sim_.now() - it->second.faultAt);
       rerouteTimes_.push_back(delaySec);
       if (flowProbe_ != nullptr) {
         flowProbe_->onDecision(pkt.flow, sim_.now(),
                                obs::DecisionKind::kFaultReroute,
-                               static_cast<double>(spine), delaySec);
+                               static_cast<double>(slot), delaySec);
       }
       pending_.erase(it);
     }
   }
-  currentUplink_[pkt.flow] = {leaf, spine};
+  currentUplink_[pkt.flow] = uplink;
 }
 
-void FaultMonitor::onFault(const FaultEvent& ev) {
+void FaultMonitor::onFault(const FaultEvent& ev, const net::Link& uplink) {
   if (!ev.disruptive()) return;
   const SimTime now = sim_.now();
   if (firstDisruptiveAt_ < 0_ns) firstDisruptiveAt_ = now;
@@ -54,9 +56,9 @@ void FaultMonitor::onFault(const FaultEvent& ev) {
   // iteration only feeds per-flow map inserts and a count, so the result
   // is independent of the hash order.
   for (const auto& [flow, link] : currentUplink_) {
-    if (link.first != ev.leaf || link.second != ev.spine) continue;
+    if (link != &uplink) continue;
     if (pending_.contains(flow)) continue;
-    pending_[flow] = Pending{now, ev.leaf, ev.spine};
+    pending_[flow] = Pending{now, &uplink};
     ++affected_;
   }
 }

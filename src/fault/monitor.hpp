@@ -1,11 +1,11 @@
 // FaultMonitor: per-run recovery metrics for fault-injection experiments.
 //
 // Three questions, answered scheme-agnostically from dequeue hooks on the
-// leaf uplinks (the load-balancing decision point):
+// uplinks of every decision switch (the load-balancing decision point):
 //
 //   * time-to-reroute — for every long flow whose current uplink is hit
 //     by a disruptive fault, the delay until its first data packet leaves
-//     a DIFFERENT uplink of the same leaf. A scheme that masks dead ports
+//     a DIFFERENT uplink of the same switch. A scheme that masks dead ports
 //     reroutes within one selection; a scheme blind to the fault kind
 //     (e.g. gray failure vs queue-length signals) may never reroute.
 //   * goodput dip — periodic samples of a caller-provided
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "fault/plan.hpp"
-#include "net/leaf_spine.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "util/flow_key.hpp"
 #include "util/units.hpp"
@@ -46,14 +46,14 @@ class FaultMonitor {
     int dipWindow = 10;
   };
 
-  /// Attaches dequeue hooks to every leaf uplink of `topo` and starts the
-  /// goodput sampler. `isLong` classifies flow ids (only long flows are
-  /// tracked for rerouting — short flows finish too fast for a stable
-  /// reroute time). The topology and simulator must outlive the monitor.
+  /// Attaches dequeue hooks to every decision switch's uplinks and starts
+  /// the goodput sampler. `isLong` classifies flow ids (only long flows
+  /// are tracked for rerouting — short flows finish too fast for a stable
+  /// reroute time). The fabric and simulator must outlive the monitor.
   /// (No default for `cfg`: a default argument here would need Config's
   /// member initializers before the enclosing class is complete — callers
   /// pass Config{} explicitly.)
-  FaultMonitor(net::LeafSpineTopology& topo, sim::Simulator& simr,
+  FaultMonitor(net::Fabric& fabric, sim::Simulator& simr,
                std::function<bool(FlowId)> isLong, Config cfg);
 
   /// Acked-bytes probe for the goodput samples (typically the sum of
@@ -65,12 +65,13 @@ class FaultMonitor {
 
   /// Wire the per-flow decision probe: the moment an affected flow's
   /// first data packet leaves a different uplink, a fault-reroute
-  /// decision event is recorded with the escaped spine and the reroute
-  /// delay. Nullable hot-path contract.
+  /// decision event is recorded with the escaped uplink's slot in its
+  /// group and the reroute delay. Nullable hot-path contract.
   void setFlowProbe(obs::FlowProbe* probe) { flowProbe_ = probe; }
 
-  /// Called by the injector just before each plan event is applied.
-  void onFault(const FaultEvent& ev);
+  /// Called by the injector just before each plan event is applied to
+  /// the cable whose load-balanced direction is `uplink`.
+  void onFault(const FaultEvent& ev, const net::Link& uplink);
 
   // --- results ----------------------------------------------------------
   SimTime firstDisruptiveAt() const { return firstDisruptiveAt_; }
@@ -93,20 +94,18 @@ class FaultMonitor {
  private:
   struct Pending {
     SimTime faultAt;
-    int leaf = 0;
-    int spine = 0;
+    const net::Link* uplink = nullptr;
   };
 
-  void onDequeue(int leaf, int spine, const net::Packet& pkt);
+  void onDequeue(const net::Link* uplink, int slot, const net::Packet& pkt);
 
-  net::LeafSpineTopology& topo_;
   sim::Simulator& sim_;
   std::function<bool(FlowId)> isLong_;
   Config cfg_;
   std::function<ByteCount()> probe_;
 
-  /// Last leaf uplink each tracked long flow sent data on.
-  std::unordered_map<FlowId, std::pair<int, int>> currentUplink_;
+  /// Last uplink each tracked long flow sent data on.
+  std::unordered_map<FlowId, const net::Link*> currentUplink_;
   /// Flows awaiting their first post-fault dequeue on another uplink.
   std::unordered_map<FlowId, Pending> pending_;
   std::vector<double> rerouteTimes_;  ///< seconds, in reroute order

@@ -1,7 +1,7 @@
 #include "harness/experiment.hpp"
 
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,6 +13,7 @@
 #include "fault/injector.hpp"
 #include "fault/monitor.hpp"
 #include "lb/flow_state_table.hpp"
+#include "net/fat_tree.hpp"
 #include "obs/flow_probe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -55,7 +56,33 @@ bool auditEnabled(ExperimentConfig::Audit mode) {
 #endif
 }
 
+/// The topology a config names, built without selectors (the harness
+/// installs them per decision switch once TLB's inputs are derived).
+class BuiltFabric {
+ public:
+  BuiltFabric(sim::Simulator& simr, const ExperimentConfig& cfg)
+      : fabric_(cfg.fatTree
+                    ? static_cast<net::Fabric*>(
+                          &fatTree_.emplace(simr, *cfg.fatTree, nullptr))
+                    : &leafSpine_.emplace(simr, cfg.topo, nullptr)) {}
+
+  net::Fabric& operator*() { return *fabric_; }
+
+ private:
+  std::optional<net::LeafSpineTopology> leafSpine_;
+  std::optional<net::FatTreeTopology> fatTree_;
+  net::Fabric* fabric_;
+};
+
 }  // namespace
+
+bool checkFaultPlan(const ExperimentConfig& cfg, std::string* error) {
+  if (cfg.fault.empty()) return true;
+  sim::Simulator simr;
+  BuiltFabric fabric(simr, cfg);
+  std::vector<fault::Cable> cables;
+  return fault::resolveCables(cfg.fault, *fabric, &cables, error);
+}
 
 Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {}
 Experiment::~Experiment() = default;
@@ -98,41 +125,41 @@ ExperimentResult Experiment::run() const {
   ExperimentConfig cfg = cfg_;  // local copy: we fill derived fields
   ExperimentResult res;
 
+  sim::Simulator simr;
+  BuiltFabric built(simr, cfg);
+  net::Fabric& fabric = *built;
+  const std::vector<net::Switch*> deciders = fabric.decisionSwitches();
+
   TLBSIM_LOG_INFO(
-      "experiment: scheme=%s leaves=%d spines=%d hosts/leaf=%d flows=%zu "
-      "seed=%llu",
-      schemeName(cfg.scheme.scheme), cfg.topo.numLeaves, cfg.topo.numSpines,
-      cfg.topo.hostsPerLeaf, cfg.flows.size(),
+      "experiment: scheme=%s %s hosts=%d switches=%d flows=%zu seed=%llu",
+      schemeName(cfg.scheme.scheme), cfg.fatTree ? "fat-tree" : "leaf-spine",
+      fabric.numHosts(), fabric.numSwitches(), cfg.flows.size(),
       static_cast<unsigned long long>(cfg.seed));
 
-  sim::Simulator simr;
-
-  // Derive TLB's physical model inputs from the topology.
-  cfg.scheme.numPaths = cfg.topo.numSpines;
-  cfg.scheme.tlb.rtt = cfg.topo.baseRtt();
-  cfg.scheme.tlb.linkCapacity = cfg.topo.fabricLinkRate;
-  cfg.scheme.tlb.bufferPackets = cfg.topo.bufferPackets;
+  // Derive TLB's physical model inputs from the fabric.
+  cfg.scheme.numPaths =
+      static_cast<int>(deciders.front()->uplinkGroup().size());
+  const net::Fabric::Physical& phys = fabric.physical();
+  cfg.scheme.tlb.rtt = phys.baseRtt;
+  cfg.scheme.tlb.linkCapacity = phys.fabricLinkRate;
+  cfg.scheme.tlb.bufferPackets = phys.bufferPackets;
   cfg.scheme.tlb.mss = cfg.tcp.mss;
   cfg.scheme.tlb.packetWireSize = cfg.tcp.maxSegmentWireSize();
   cfg.scheme.tlb.longFlowWindow = cfg.tcp.receiverWindow;
   // DCTCP marking bounds the real queue length; a threshold above the
   // marking point would never trigger.
-  cfg.scheme.tlb.qthCapPackets = cfg.topo.ecnThresholdPackets;
+  cfg.scheme.tlb.qthCapPackets = phys.ecnThresholdPackets;
 
-  // Topology with one selector per leaf; remember TLB instances for their
-  // observability wiring, audit and switch counts.
+  // One selector per decision switch; remember TLB instances for their
+  // observability wiring, audit and switch counts. Every decision switch
+  // runs the same scheme, so `tlbs` is either empty or parallel to
+  // `deciders`.
   std::vector<core::Tlb*> tlbs;
-  net::LeafSpineTopology topo(
-      simr, cfg.topo, [&](net::Switch& sw, int leafIdx) {
-        (void)sw;
-        auto sel = makeSelector(cfg.scheme,
-                                cfg.seed * 1315423911ULL +
-                                    static_cast<std::uint64_t>(leafIdx));
-        if (auto* tlb = dynamic_cast<core::Tlb*>(sel.get())) {
-          tlbs.push_back(tlb);
-        }
-        return sel;
-      });
+  for (std::size_t i = 0; i < deciders.size(); ++i) {
+    auto sel = makeSelector(cfg.scheme, cfg.seed * 1315423911ULL + i);
+    if (auto* tlb = dynamic_cast<core::Tlb*>(sel.get())) tlbs.push_back(tlb);
+    deciders[i]->setSelector(std::move(sel));
+  }
 
   // Flow classification for stats hooks.
   std::unordered_set<FlowId> shortFlows;
@@ -141,11 +168,10 @@ ExperimentResult Experiment::run() const {
   }
   stats::QueueDelayMonitor qmon(
       [&shortFlows](FlowId id) { return shortFlows.contains(id); });
-  // Observe the sender-leaf fabric queues (where the LB decision applies).
-  for (int l = 0; l < topo.numLeaves(); ++l) {
-    for (int s = 0; s < topo.numSpines(); ++s) {
-      qmon.installOn(topo.leafUplink(l, s));
-    }
+  // Observe the decision switches' uplink queues (where the LB decision
+  // applies).
+  for (net::Switch* sw : deciders) {
+    for (const int p : sw->uplinkGroup()) qmon.installOn(sw->port(p));
   }
 
   // Observability wiring: metrics registry, trace tracks, and a periodic
@@ -155,53 +181,41 @@ ExperimentResult Experiment::run() const {
   std::vector<std::pair<obs::Gauge*, net::Link*>> depthGauges;
   if (sinks.any()) {
     simr.installObs(sinks.metrics, sinks.trace);
-    for (int l = 0; l < topo.numLeaves(); ++l) {
-      for (int s = 0; s < topo.numSpines(); ++s) {
-        char label[48];
-        std::snprintf(label, sizeof(label), "leaf%d->spine%d", l, s);
-        net::Link& link = topo.leafUplink(l, s);
-        if (sinks.metrics != nullptr) {
+    if (sinks.metrics != nullptr) {
+      for (net::Switch* sw : deciders) {
+        for (const int p : sw->uplinkGroup()) {
+          net::Link& link = sw->port(p);
+          const std::string label = net::Fabric::linkLabel(*sw, link);
           link.installObs(*sinks.metrics, sinks.trace, label);
           depthGauges.emplace_back(
-              &sinks.metrics->gauge(std::string("port.") + label +
-                                    ".queue_pkts"),
-              &link);
+              &sinks.metrics->gauge("port." + label + ".queue_pkts"), &link);
         }
       }
-    }
-    if (sinks.metrics != nullptr) {
-      for (int l = 0; l < topo.numLeaves(); ++l) {
-        topo.leaf(l).installObs(*sinks.metrics);
+      for (int i = 0; i < fabric.numSwitches(); ++i) {
+        net::Switch& sw = fabric.switchAt(i);
+        sw.installObs(*sinks.metrics);
         // Per-scheme flow-state accounting (tracked/purged/evicted flows,
         // worst probe distance) for every selector that keeps a table.
-        if (topo.leaf(l).selector() != nullptr) {
-          lb::FlowStateTableBase* fs = topo.leaf(l).selector()->flowState();
-          if (fs != nullptr) {
-            fs->installObs(*sinks.metrics, "leaf" + std::to_string(l));
-          }
+        if (sw.selector() != nullptr) {
+          lb::FlowStateTableBase* fs = sw.selector()->flowState();
+          if (fs != nullptr) fs->installObs(*sinks.metrics, sw.name());
         }
-      }
-      for (int s = 0; s < topo.numSpines(); ++s) {
-        topo.spine(s).installObs(*sinks.metrics);
       }
     }
     for (std::size_t i = 0; i < tlbs.size(); ++i) {
-      tlbs[i]->installObs(sinks.metrics, sinks.trace,
-                          "leaf" + std::to_string(i));
+      tlbs[i]->installObs(sinks.metrics, sinks.trace, deciders[i]->name());
     }
     if (sinks.flows != nullptr) {
       // Every workload flow is declared up front so each probe hook is a
-      // guaranteed record hit; leaf switches report uplink forwards and
-      // every selector reports its decisions.
+      // guaranteed record hit; decision switches report uplink forwards
+      // and every selector reports its decisions.
       for (const auto& f : cfg.flows) {
         sinks.flows->declareFlow(f.id, f.src, f.dst, f.size, f.start,
                                  f.size < transport::kShortFlowThreshold);
       }
-      for (int l = 0; l < topo.numLeaves(); ++l) {
-        topo.leaf(l).installFlowProbe(*sinks.flows, l);
-        if (topo.leaf(l).selector() != nullptr) {
-          topo.leaf(l).selector()->setFlowProbe(sinks.flows);
-        }
+      for (std::size_t i = 0; i < deciders.size(); ++i) {
+        deciders[i]->installFlowProbe(*sinks.flows, static_cast<int>(i));
+        deciders[i]->selector()->setFlowProbe(sinks.flows);
       }
     }
     if (sinks.metrics != nullptr && !depthGauges.empty()) {
@@ -223,10 +237,10 @@ ExperimentResult Experiment::run() const {
   std::unique_ptr<fault::FaultInjector> faultInj;
   if (!cfg.fault.empty()) {
     faultMon = std::make_unique<fault::FaultMonitor>(
-        topo, simr,
+        fabric, simr,
         [&shortFlows](FlowId id) { return !shortFlows.contains(id); },
         fault::FaultMonitor::Config{});
-    faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, topo, simr,
+    faultInj = std::make_unique<fault::FaultInjector>(cfg.fault, fabric, simr,
                                                       cfg.seed);
     faultInj->setMonitor(faultMon.get());
     if (sinks.flows != nullptr) faultMon->setFlowProbe(sinks.flows);
@@ -239,7 +253,7 @@ ExperimentResult Experiment::run() const {
   std::unique_ptr<check::InvariantAuditor> auditor;
   if (auditEnabled(cfg.audit)) {
     auditor = std::make_unique<check::InvariantAuditor>();
-    auditor->watchTopology(topo);
+    auditor->watchTopology(fabric);
     // Admissible q_th range: [0, buffer depth], tightened by the ECN cap,
     // widened by an explicit override (the Fig. 7 harness pins q_th).
     ByteCount qthCap = cfg.scheme.tlb.bufferBytes();
@@ -260,9 +274,9 @@ ExperimentResult Experiment::run() const {
   std::size_t completed = 0;
   for (const auto& f : cfg.flows) {
     receivers.push_back(std::make_unique<transport::TcpReceiver>(
-        simr, topo.host(f.dst), f, cfg.tcp));
+        simr, fabric.host(f.dst), f, cfg.tcp));
     senders.push_back(std::make_unique<transport::TcpSender>(
-        simr, topo.host(f.src), f, cfg.tcp,
+        simr, fabric.host(f.src), f, cfg.tcp,
         [&completed](transport::TcpSender&) { ++completed; }));
     if (sinks.any()) {
       senders.back()->installObs(sinks.metrics, sinks.trace);
@@ -287,7 +301,7 @@ ExperimentResult Experiment::run() const {
     for (const auto& f : cfg.flows) {
       firstAppFlowId = std::max(firstAppFlowId, f.id + 1);
     }
-    service = std::make_unique<app::Service>(simr, topo, cfg.app, cfg.tcp,
+    service = std::make_unique<app::Service>(simr, fabric, cfg.app, cfg.tcp,
                                              cfg.seed, firstAppFlowId);
     service->setQueryProbe(cfg.queryProbe);
     if (sinks.any()) service->installObs(sinks.metrics, sinks.trace);
@@ -353,19 +367,18 @@ ExperimentResult Experiment::run() const {
       }
       qmon.rollInterval(t);
 
-      // Fabric utilization: interval delta of the busiest leaf's uplink
-      // busy time, normalized by the group width (Fig. 4(a) proxy).
+      // Fabric utilization: interval delta of the busiest decision
+      // switch's uplink busy time, normalized by the group width
+      // (Fig. 4(a) proxy).
       SimTime busyNow;
-      for (int l = 0; l < topo.numLeaves(); ++l) {
+      for (net::Switch* sw : deciders) {
         SimTime busy;
-        for (int s = 0; s < topo.numSpines(); ++s) {
-          busy += topo.leafUplink(l, s).busyTime();
-        }
+        for (const int p : sw->uplinkGroup()) busy += sw->port(p).busyTime();
         busyNow = std::max(busyNow, busy);
       }
       res.fabricUtilization.add(
           t, toSeconds(busyNow - prev.fabricBusy) / dt /
-                 static_cast<double>(topo.numSpines()));
+                 static_cast<double>(cfg.scheme.numPaths));
       now.fabricBusy = busyNow;
       prev = now;
     }, /*start=*/cfg.sampleInterval);
@@ -439,7 +452,7 @@ ExperimentResult Experiment::run() const {
 
   SimTime fabricBusy;
   int fabricLinks = 0;
-  topo.forEachFabricLink([&](net::Link& link) {
+  fabric.forEachFabricLink([&](net::Link& link) {
     res.totalDrops += link.drops();
     res.totalEcnMarks += link.queue().ecnMarks();
     res.faultDrops += link.faultDrops();

@@ -10,11 +10,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "app/app_config.hpp"
 #include "fault/plan.hpp"
 #include "harness/scheme.hpp"
+#include "net/fat_tree.hpp"
 #include "net/leaf_spine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_summary.hpp"
@@ -32,6 +35,9 @@ namespace tlbsim::harness {
 
 struct ExperimentConfig {
   net::LeafSpineConfig topo;
+  /// When set, the run builds this k-ary fat-tree instead of `topo`; every
+  /// edge and aggregation switch then runs the scheme.
+  std::optional<net::FatTreeConfig> fatTree;
   SchemeConfig scheme;
   transport::TcpParams tcp;
   std::vector<transport::FlowSpec> flows;
@@ -211,6 +217,11 @@ class Experiment {
   std::unique_ptr<obs::FlowProbe> ownedFlows_;
   std::unique_ptr<app::QueryProbe> ownedQueries_;
 };
+
+/// Resolves every cable of cfg.fault against the fabric cfg builds, the
+/// check a run would otherwise trip mid-setup. Returns false, explaining
+/// into *error when non-null, for the first cable the fabric lacks.
+bool checkFaultPlan(const ExperimentConfig& cfg, std::string* error);
 
 /// Convenience wrapper: Experiment(cfg).run().
 ExperimentResult runExperiment(const ExperimentConfig& cfg);

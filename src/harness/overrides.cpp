@@ -68,10 +68,14 @@ const std::vector<Key>& keyTable() {
          c.scheme.scheme = *s;
          return true;
        }},
-      {"topo.leaves", "number of leaf switches",
+      {"topo.leaves",
+       "number of leaf switches (>= 2: cross-leaf workloads need two)",
        [](ExperimentConfig& c, const KeyValueConfig& kv,
           const std::string& k, const std::string&) {
-         return setInt(kv, k, &c.topo.numLeaves);
+         int leaves = 0;
+         if (!setInt(kv, k, &leaves) || leaves < 2) return false;
+         c.topo.numLeaves = leaves;
+         return true;
        }},
       {"topo.spines", "number of spine switches (equal-cost paths)",
        [](ExperimentConfig& c, const KeyValueConfig& kv,

@@ -6,18 +6,12 @@
 
 namespace tlbsim::net {
 
-Switch& FatTreeTopology::edge(int pod, int i) {
-  return *edges_[static_cast<std::size_t>(pod * hostsPerEdge() + i)];
-}
-
-Switch& FatTreeTopology::agg(int pod, int i) {
-  return *aggs_[static_cast<std::size_t>(pod * hostsPerEdge() + i)];
-}
-
 FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
                                  const FatTreeConfig& cfg,
                                  const SelectorFactory& makeSelector)
-    : sim_(simr), cfg_(cfg) {
+    : Fabric({12 * cfg.linkDelay,  // 6 links each way between pods
+              cfg.linkRate, cfg.bufferPackets, cfg.ecnThresholdPackets}),
+      cfg_(cfg) {
   TLBSIM_ASSERT(cfg.k >= 2 && cfg.k % 2 == 0,
                 "fat-tree k must be even and >= 2 (got %d)", cfg.k);
   const int half = cfg.k / 2;
@@ -27,17 +21,17 @@ FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
     return std::make_unique<Link>(simr, cfg.linkRate, cfg.linkDelay, qcfg);
   };
 
-  // Instantiate switches.
-  for (int p = 0; p < cfg.k; ++p) {
-    for (int i = 0; i < half; ++i) {
-      edges_.push_back(std::make_unique<Switch>(
-          simr, "edge" + std::to_string(p) + "." + std::to_string(i)));
-      aggs_.push_back(std::make_unique<Switch>(
-          simr, "agg" + std::to_string(p) + "." + std::to_string(i)));
+  // Instantiate switches, one tier at a time.
+  for (const char* tier : {"edge", "agg"}) {
+    for (int p = 0; p < cfg.k; ++p) {
+      for (int i = 0; i < half; ++i) {
+        switches_.push_back(std::make_unique<Switch>(
+            simr, tier + std::to_string(p) + "." + std::to_string(i)));
+      }
     }
   }
   for (int c = 0; c < cfg.numCores(); ++c) {
-    cores_.push_back(
+    switches_.push_back(
         std::make_unique<Switch>(simr, "core" + std::to_string(c)));
   }
 
@@ -72,12 +66,10 @@ FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
         up->connect(&asw, -1);
         const int upPort = esw.addPort(std::move(up));
         group.push_back(upPort);
-        fabricPorts_.push_back({&esw, upPort});
 
         auto down = makeLink();
         down->connect(&esw, -1);
         const int downPort = asw.addPort(std::move(down));
-        fabricPorts_.push_back({&asw, downPort});
         // Aggregation: hosts under edge(p, e) exit via this downlink.
         for (int h = 0; h < half; ++h) {
           asw.setRoute(
@@ -100,17 +92,15 @@ FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
       Switch& asw = agg(p, a);
       std::vector<int> group;
       for (int j = 0; j < half; ++j) {
-        Switch& csw = *cores_[static_cast<std::size_t>(a * half + j)];
+        Switch& csw = core(a * half + j);
         auto up = makeLink();
         up->connect(&csw, -1);
         const int upPort = asw.addPort(std::move(up));
         group.push_back(upPort);
-        fabricPorts_.push_back({&asw, upPort});
 
         auto down = makeLink();
         down->connect(&asw, -1);
         const int downPort = csw.addPort(std::move(down));
-        fabricPorts_.push_back({&csw, downPort});
         // Core: every host of pod p exits via this downlink.
         for (int id = p * half * half; id < (p + 1) * half * half; ++id) {
           csw.setRoute(static_cast<HostId>(id), downPort);
@@ -124,23 +114,11 @@ FatTreeTopology::FatTreeTopology(sim::Simulator& simr,
     }
   }
 
-  // Install selectors on both decision tiers.
+  // Install selectors on both decision tiers, in construction order.
   if (makeSelector) {
-    int idx = 0;
-    for (auto& e : edges_) {
-      e->setSelector(makeSelector(*e, idx++));
+    for (int idx = 0; idx < 2 * cfg.k * half; ++idx) {
+      switchAt(idx).setSelector(makeSelector(switchAt(idx), idx));
     }
-    for (auto& a : aggs_) {
-      a->setSelector(makeSelector(*a, idx++));
-    }
-  }
-}
-
-void FatTreeTopology::forEachFabricLink(
-    // setup-time iteration. tlbsim-lint: allow(std-function-hot-path)
-    const std::function<void(Link&)>& fn) {
-  for (const auto& [sw, port] : fabricPorts_) {
-    fn(sw->port(port));
   }
 }
 

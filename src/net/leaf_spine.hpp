@@ -6,12 +6,9 @@
 // Figs. 16/17 by scaling the delay/bandwidth of selected leaf-spine cables.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "net/host.hpp"
-#include "net/switch.hpp"
+#include "net/fabric.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
 
@@ -45,53 +42,35 @@ struct LeafSpineConfig {
   SimTime baseRtt() const { return 8 * linkDelay; }
 };
 
-/// Builds one UplinkSelector per leaf switch. `leafIndex` lets schemes
-/// derive per-switch salts/seeds.
-// Called once per switch at topology construction (cold path).
-// tlbsim-lint: allow(std-function-hot-path)
-using SelectorFactory =
-    // tlbsim-lint: allow(std-function-hot-path)
-    std::function<std::unique_ptr<UplinkSelector>(Switch& sw, int leafIndex)>;
-
-class LeafSpineTopology {
+class LeafSpineTopology : public Fabric {
  public:
   LeafSpineTopology(sim::Simulator& simr, const LeafSpineConfig& cfg,
                     const SelectorFactory& makeSelector);
 
   const LeafSpineConfig& config() const { return cfg_; }
 
-  int numHosts() const { return cfg_.numHosts(); }
-  Host& host(int i) { return *hosts_[static_cast<std::size_t>(i)]; }
-  Switch& leaf(int i) { return *leaves_[static_cast<std::size_t>(i)]; }
-  Switch& spine(int i) { return *spines_[static_cast<std::size_t>(i)]; }
+  // Switches are built leaves first, then spines.
+  Switch& leaf(int i) { return switchAt(i); }
+  Switch& spine(int i) { return switchAt(cfg_.numLeaves + i); }
   int numLeaves() const { return cfg_.numLeaves; }
   int numSpines() const { return cfg_.numSpines; }
 
   int leafOf(HostId h) const { return static_cast<int>(h) / cfg_.hostsPerLeaf; }
 
-  /// The leaf->spine fabric link (load-balanced direction).
-  Link& leafUplink(int leafIdx, int spineIdx);
-  /// The spine->leaf fabric link (return direction).
-  Link& spineDownlink(int spineIdx, int leafIdx);
-  /// The leaf->host access link (where short flows queue behind long ones
-  /// when the fabric is not the bottleneck).
-  Link& leafDownlink(HostId host);
-
-  /// Visit every fabric link (both directions); used to install stats
-  /// hooks at setup time (cold path).
-  // tlbsim-lint: allow(std-function-hot-path)
-  void forEachFabricLink(const std::function<void(Link&)>& fn);
+  /// The leaf->spine fabric link (load-balanced direction): slot `spineIdx`
+  /// of the leaf's uplink group.
+  Link& leafUplink(int leafIdx, int spineIdx) {
+    Switch& l = leaf(leafIdx);
+    return l.port(l.uplinkGroup()[static_cast<std::size_t>(spineIdx)]);
+  }
+  /// The spine->leaf fabric link (return direction): spines gain one port
+  /// per leaf, in leaf order.
+  Link& spineDownlink(int spineIdx, int leafIdx) {
+    return spine(spineIdx).port(leafIdx);
+  }
 
  private:
-  sim::Simulator& sim_;
   LeafSpineConfig cfg_;
-  std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<Switch>> leaves_;
-  std::vector<std::unique_ptr<Switch>> spines_;
-  // Port bookkeeping: port indices into each switch, by peer.
-  std::vector<std::vector<int>> leafUplinkPort_;    // [leaf][spine]
-  std::vector<std::vector<int>> leafDownlinkPort_;  // [leaf][local host idx]
-  std::vector<std::vector<int>> spineDownlinkPort_;  // [spine][leaf]
 };
 
 }  // namespace tlbsim::net

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -33,16 +34,18 @@ double elapsedSeconds(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Builds, seeds and executes one sweep point. The config pipeline order
-/// matters: base -> axis scheme -> variant overrides (variant wins) ->
-/// derived seed -> workload, so overrides that reshape the topology are
-/// visible to the workload generator.
-RunOutcome runPoint(const SweepPoint& pt, const SweepScenario& scenario,
-                    const RunnerOptions& opt) {
+/// Builds, seeds and checks one sweep point's config, minus its flows.
+/// The pipeline order matters: base -> axis scheme -> variant overrides
+/// (variant wins) -> derived seed, and the workload runs last (in
+/// runPoint), so overrides that reshape the topology are visible to the
+/// workload generator. Throws on a bad override or fault plan.
+harness::ExperimentConfig pointConfig(const SweepPoint& pt,
+                                      const SweepScenario& scenario) {
   harness::ExperimentConfig cfg = scenario.base(pt);
   cfg.scheme.scheme = pt.scheme;
   std::string err;
-  if (!harness::applyOverrides(cfg, pt.variant.overrides, &err)) {
+  if (!harness::applyOverrides(cfg, pt.variant.overrides, &err) ||
+      !harness::checkFaultPlan(cfg, &err)) {
     throw std::runtime_error(err);
   }
   cfg.seed = pt.runSeed;
@@ -50,6 +53,12 @@ RunOutcome runPoint(const SweepPoint& pt, const SweepScenario& scenario,
   // in the base config, since those would be contended across workers.
   cfg.sinks = obs::Sinks{};
   cfg.queryProbe = nullptr;
+  return cfg;
+}
+
+/// Generates the point's workload into its checked config and executes it.
+RunOutcome runPoint(const SweepPoint& pt, harness::ExperimentConfig cfg,
+                    const SweepScenario& scenario, const RunnerOptions& opt) {
   if (scenario.workload) scenario.workload(cfg, pt);
 
   const bool collectFlows = opt.collectFlows || !opt.flowsNdjsonPath.empty();
@@ -99,6 +108,35 @@ RunOutcome runPoint(const SweepPoint& pt, const SweepScenario& scenario,
     }
   }
   return out;
+}
+
+/// Throws the collected per-point errors as one sweep failure.
+void throwIfAny(const std::vector<std::string>& errors, std::size_t points) {
+  if (errors.empty()) return;
+  std::string msg = "sweep failed (" + std::to_string(errors.size()) +
+                    " of " + std::to_string(points) + " runs):";
+  for (const std::string& e : errors) msg += "\n  " + e;
+  throw std::runtime_error(msg);
+}
+
+/// Opens an NDJSON output (left closed when `path` is empty); throws when
+/// the path is not writable.
+std::ofstream openNdjson(const std::string& path) {
+  std::ofstream f;
+  if (path.empty()) return f;
+  f.open(path, std::ios::binary);
+  if (!f) throw std::runtime_error("cannot write NDJSON to " + path);
+  return f;
+}
+
+/// Writes the runs' NDJSON blocks in point index order and closes `f`.
+void writeBlocks(std::ofstream& f, const std::string& path,
+                 const std::vector<RunOutcome>& runs,
+                 std::string RunOutcome::*block) {
+  if (!f.is_open()) return;
+  for (const RunOutcome& run : runs) f << run.*block;
+  f.close();
+  if (!f) throw std::runtime_error("short write to " + path);
 }
 
 void appendIndent(std::string& out, int indent) {
@@ -320,13 +358,29 @@ SweepReport runSweep(const SweepSpec& spec, const SweepScenario& scenario,
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<SweepPoint> points = spec.expand();
 
+  // Everything that can reject the sweep without simulating is checked
+  // before any point runs: every point's config (overrides, fault plan)
+  // and the NDJSON output paths.
+  std::vector<harness::ExperimentConfig> configs(points.size());
+  std::vector<std::string> errors;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    try {
+      configs[i] = pointConfig(points[i], scenario);
+    } catch (const std::exception& e) {
+      errors.push_back("sweep point '" + points[i].label() +
+                       "': " + e.what());
+    }
+  }
+  throwIfAny(errors, points.size());
+  std::ofstream flowsFile = openNdjson(opt.flowsNdjsonPath);
+  std::ofstream queriesFile = openNdjson(opt.queriesNdjsonPath);
+
   SweepReport report;
   report.spec = spec;
   report.runs.resize(points.size());
 
   std::atomic<std::size_t> next{0};
   std::mutex mu;  // guards errors + onRunDone
-  std::vector<std::string> errors;
 
   const auto worker = [&]() {
     for (;;) {
@@ -335,7 +389,7 @@ SweepReport runSweep(const SweepSpec& spec, const SweepScenario& scenario,
       const SweepPoint& pt = points[i];
       try {
         // The slot at index i belongs to this worker alone; no lock.
-        report.runs[i] = runPoint(pt, scenario, opt);
+        report.runs[i] = runPoint(pt, std::move(configs[i]), scenario, opt);
       } catch (const std::exception& e) {
         const std::lock_guard<std::mutex> lock(mu);
         errors.push_back("sweep point '" + pt.label() + "': " + e.what());
@@ -360,33 +414,14 @@ SweepReport runSweep(const SweepSpec& spec, const SweepScenario& scenario,
     for (std::thread& t : pool) t.join();
   }
 
-  if (!errors.empty()) {
-    std::string msg = "sweep failed (" + std::to_string(errors.size()) +
-                      " of " + std::to_string(points.size()) + " runs):";
-    for (const std::string& e : errors) msg += "\n  " + e;
-    throw std::runtime_error(msg);
-  }
+  throwIfAny(errors, points.size());
 
   // Concatenate NDJSON blocks in point index order after the join, so the
   // files are byte-identical for any worker count.
-  const auto writeBlocks =
-      [&report](const std::string& path,
-                std::string RunOutcome::*block) {
-        if (path.empty()) return;
-        std::FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) {
-          throw std::runtime_error("cannot write NDJSON to " + path);
-        }
-        bool ok = true;
-        for (const RunOutcome& run : report.runs) {
-          const std::string& s = run.*block;
-          ok = ok && std::fwrite(s.data(), 1, s.size(), f) == s.size();
-        }
-        ok = std::fclose(f) == 0 && ok;
-        if (!ok) throw std::runtime_error("short write to " + path);
-      };
-  writeBlocks(opt.flowsNdjsonPath, &RunOutcome::flowsNdjson);
-  writeBlocks(opt.queriesNdjsonPath, &RunOutcome::queriesNdjson);
+  writeBlocks(flowsFile, opt.flowsNdjsonPath, report.runs,
+              &RunOutcome::flowsNdjson);
+  writeBlocks(queriesFile, opt.queriesNdjsonPath, report.runs,
+              &RunOutcome::queriesNdjson);
 
   report.aggregates = aggregate(report.runs);
   report.wallSeconds = elapsedSeconds(t0);

@@ -60,6 +60,7 @@ struct RunnerOptions {
   /// When non-empty, implies collectFlows and additionally writes every
   /// run's per-flow records to this NDJSON file, concatenated in point
   /// index order after the join — byte-identical for any worker count.
+  /// The file is opened before any point runs.
   std::string flowsNdjsonPath;
   /// Give every run an Experiment-owned app::QueryProbe (no-op for runs
   /// whose config leaves the app layer disabled); its "app.probe_*"
@@ -122,8 +123,10 @@ struct SweepReport {
   bool writeJsonFile(const std::string& path) const;
 };
 
-/// Expand the spec and run every point. Throws std::runtime_error when a
-/// scenario/override rejects a point (after all workers have drained).
+/// Expand the spec and run every point. Throws std::runtime_error, before
+/// any point runs, when an override or fault plan rejects a point or an
+/// NDJSON path cannot be opened; and after all workers have drained when
+/// a scenario throws mid-sweep.
 SweepReport runSweep(const SweepSpec& spec, const SweepScenario& scenario,
                      const RunnerOptions& opt = {});
 

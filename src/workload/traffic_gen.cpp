@@ -15,6 +15,11 @@ std::vector<transport::FlowSpec> poissonWorkload(
     FlowId firstId) {
   TLBSIM_ASSERT(cfg.numHosts >= 2, "poisson workload needs >= 2 hosts (got %d)",
                 cfg.numHosts);
+  // Otherwise the cross-leaf destination draw below never terminates.
+  TLBSIM_ASSERT(!cfg.crossLeafOnly || cfg.numHosts > cfg.hostsPerLeaf,
+                "cross-leaf poisson workload needs >= 2 leaves (hosts=%d, "
+                "hosts/leaf=%d)",
+                cfg.numHosts, cfg.hostsPerLeaf);
   // Aggregate flow arrival rate: load * reference capacity / mean size.
   const double refCapacity =
       cfg.offeredCapacityBps > 0.0

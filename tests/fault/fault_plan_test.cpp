@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/injector.hpp"
 #include "harness/overrides.hpp"
+#include "net/fat_tree.hpp"
+#include "net/leaf_spine.hpp"
 
 namespace tlbsim::fault {
 namespace {
@@ -153,6 +156,43 @@ TEST(FaultOverrides, BadFaultValueIsRejected) {
   EXPECT_FALSE(harness::applyOverride(cfg, "fault.link", "bogus", &err));
   EXPECT_FALSE(err.empty());
   EXPECT_TRUE(cfg.fault.empty());
+}
+
+TEST(FaultCables, ResolveByNameAgainstTheBuiltFabric) {
+  sim::Simulator simr;
+  net::LeafSpineConfig lcfg;
+  lcfg.numLeaves = 2;
+  lcfg.numSpines = 4;
+  lcfg.hostsPerLeaf = 2;
+  net::LeafSpineTopology topo(simr, lcfg, nullptr);
+  FaultPlan plan;
+  ASSERT_TRUE(parseLinkFaults("leaf1-spine3,down@1ms;leaf0-spine0,up@2ms",
+                              &plan));
+  std::vector<Cable> cables;
+  std::string err;
+  ASSERT_TRUE(resolveCables(plan, topo, &cables, &err)) << err;
+  ASSERT_EQ(cables.size(), 2u);
+  EXPECT_EQ(cables[0].uplink, &topo.leafUplink(1, 3));
+  EXPECT_EQ(cables[0].downlink, &topo.spineDownlink(3, 1));
+  EXPECT_EQ(cables[1].uplink, &topo.leafUplink(0, 0));
+  EXPECT_EQ(cables[1].downlink, &topo.spineDownlink(0, 0));
+
+  ASSERT_TRUE(parseLinkFaults("leaf0-spine4,down@3ms", &plan));
+  EXPECT_FALSE(resolveCables(plan, topo, &cables, &err));
+  EXPECT_NE(err.find("leaf0-spine4 is not in the fabric"), std::string::npos)
+      << err;
+}
+
+TEST(FaultCables, FatTreeHasNoLeafSpineCables) {
+  sim::Simulator simr;
+  net::FatTreeTopology topo(simr, net::FatTreeConfig{}, nullptr);
+  FaultPlan plan;
+  ASSERT_TRUE(parseLinkFaults("leaf0-spine0,down@1ms", &plan));
+  std::vector<Cable> cables;
+  std::string err;
+  EXPECT_FALSE(resolveCables(plan, topo, &cables, &err));
+  EXPECT_NE(err.find("leaf0-spine0 is not in the fabric"), std::string::npos)
+      << err;
 }
 
 }  // namespace

@@ -44,6 +44,18 @@ TEST(Overrides, RejectsGarbageValuesInsteadOfDefaulting) {
   EXPECT_FALSE(applyOverride(cfg, "topo.rate-gbps", "-1", &err));
 }
 
+TEST(Overrides, RejectsOneLeafFabric) {
+  // A one-leaf fabric has no cross-leaf path for the workload generators
+  // to draw a destination from.
+  ExperimentConfig cfg;
+  std::string err;
+  EXPECT_FALSE(applyOverride(cfg, "topo.leaves", "1", &err));
+  EXPECT_NE(err.find("topo.leaves"), std::string::npos) << err;
+  EXPECT_EQ(cfg.topo.numLeaves, ExperimentConfig{}.topo.numLeaves);
+  EXPECT_TRUE(applyOverride(cfg, "topo.leaves", "2"));
+  EXPECT_EQ(cfg.topo.numLeaves, 2);
+}
+
 TEST(Overrides, ListAppliesInOrderAndStopsAtFirstFailure) {
   ExperimentConfig cfg;
   std::string err;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "../harness/fat_tree_mix.hpp"
 #include "obs/json.hpp"
 
 namespace tlbsim::runner {
@@ -51,6 +52,14 @@ SweepSpec tinySpec() {
                   harness::Scheme::kTlb};
   spec.seeds = {1, 2};
   return spec;
+}
+
+/// Reads a whole file (empty when it does not exist).
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 TEST(Runner, ReportIsByteIdenticalAcrossWorkerCounts) {
@@ -202,12 +211,6 @@ TEST(Runner, FlowsNdjsonIsByteIdenticalAcrossWorkerCounts) {
 
   runSweep(spec, scenario, one);
   runSweep(spec, scenario, four);
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
   const std::string t1 = slurp(p1);
   const std::string t4 = slurp(p4);
   ASSERT_FALSE(t1.empty());
@@ -225,6 +228,75 @@ TEST(Runner, FlowsNdjsonIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(metaLines, spec.size());
   std::remove(p1.c_str());
   std::remove(p4.c_str());
+}
+
+TEST(Runner, FatTreeFlowsNdjsonIsByteIdenticalAcrossWorkerCounts) {
+  SweepScenario scenario;
+  scenario.base = [](const SweepPoint& pt) {
+    return harness::fatTreeMix(pt.scheme, pt.baseSeed);
+  };
+  SweepSpec spec;
+  spec.seeds = {1, 2, 3};
+  const std::string p1 = testing::TempDir() + "/runner_fattree_j1.ndjson";
+  const std::string p4 = testing::TempDir() + "/runner_fattree_j4.ndjson";
+  RunnerOptions one;
+  one.jobs = 1;
+  one.flowsNdjsonPath = p1;
+  RunnerOptions four;
+  four.jobs = 4;
+  four.flowsNdjsonPath = p4;
+
+  const SweepReport r1 = runSweep(spec, scenario, one);
+  const SweepReport r4 = runSweep(spec, scenario, four);
+  EXPECT_EQ(r1.toJson(), r4.toJson());
+  const std::string t1 = slurp(p1);
+  ASSERT_FALSE(t1.empty());
+  EXPECT_EQ(t1, slurp(p4));
+  // Every run recorded every flow (14 per run) at both decision tiers.
+  for (const RunOutcome& run : r1.runs) {
+    ASSERT_NE(run.summary.value("flows.tracked"), nullptr);
+    EXPECT_EQ(*run.summary.value("flows.tracked"), 14.0);
+  }
+  std::remove(p1.c_str());
+  std::remove(p4.c_str());
+}
+
+TEST(Runner, UnwritableNdjsonPathFailsBeforeAnyPointRuns) {
+  for (const bool queries : {false, true}) {
+    RunnerOptions opt;
+    (queries ? opt.queriesNdjsonPath : opt.flowsNdjsonPath) =
+        "/nonexistent-dir/x.ndjson";
+    int ran = 0;
+    SweepScenario scenario = tinyScenario();
+    scenario.workload = [&ran, inner = scenario.workload](
+                            harness::ExperimentConfig& cfg,
+                            const SweepPoint& pt) {
+      ++ran;
+      inner(cfg, pt);
+    };
+    EXPECT_THROW(runSweep(tinySpec(), scenario, opt), std::runtime_error);
+    EXPECT_EQ(ran, 0) << (queries ? "queries" : "flows");
+  }
+}
+
+TEST(Runner, FaultCableOutsideTheFabricFailsBeforeAnyPointRuns) {
+  SweepSpec spec = tinySpec();
+  spec.variants = {{"ok", {}},
+                   {"bad", {"fault.link=leaf9-spine1,down@1ms"}}};
+  int ran = 0;
+  RunnerOptions opt;
+  opt.onRunDone = [&ran](const SweepPoint&,
+                         const harness::ExperimentResult&) { ++ran; };
+  try {
+    runSweep(spec, tinyScenario(), opt);
+    FAIL() << "expected the sweep to be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("leaf9-spine1 is not in the fabric"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(ran, 0);
 }
 
 TEST(Runner, OnRunDoneFiresOncePerPoint) {

@@ -98,7 +98,9 @@ bool validate(const Options& opt) {
   };
   if (!(opt.load > 0.0) || opt.load > 10.0) reject("--load must be in (0, 10]");
   if (opt.flows < 1) reject("--flows must be >= 1");
-  if (opt.leaves < 1) reject("--leaves must be >= 1");
+  if (opt.leaves < 2) {
+    reject("--leaves must be >= 2 (a one-leaf fabric has no cross-leaf path)");
+  }
   if (opt.spines < 1) reject("--spines must be >= 1");
   if (opt.hostsPerLeaf < 1) reject("--hosts-per-leaf must be >= 1");
   if (!(opt.rateGbps > 0.0)) reject("--rate-gbps must be > 0");
@@ -692,16 +694,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Range-check the plan against the (possibly flag-overridden) topology
-  // here, where a typo exits gracefully instead of tripping the injector's
-  // install-time assertion mid-run.
-  for (const auto& ev : cfg.fault.events) {
-    if (ev.leaf < 0 || ev.leaf >= cfg.topo.numLeaves || ev.spine < 0 ||
-        ev.spine >= cfg.topo.numSpines) {
-      std::fprintf(stderr,
-                   "--fault leaf%d-spine%d is outside the %dx%d topology\n",
-                   ev.leaf, ev.spine, cfg.topo.numLeaves,
-                   cfg.topo.numSpines);
+  {
+    std::string err;
+    if (!harness::checkFaultPlan(cfg, &err)) {
+      std::fprintf(stderr, "--fault: %s\n", err.c_str());
       return 1;
     }
   }
