@@ -128,31 +128,34 @@ void InvariantAuditor::auditLinks(SimTime now) {
              link.queue().config().capacityPackets);
     }
 
-    // Packet conservation within the link: everything accepted is either
-    // transmitted, waiting, being serialized (at most one packet), or was
-    // flushed out of the queue by a link-down fault.
+    // Packet conservation within the link: everything accepted has either
+    // started serializing, is waiting, or was flushed out of the queue by
+    // a link-down fault.
     const std::uint64_t accounted =
         link.txPackets() + static_cast<std::uint64_t>(link.queuePackets()) +
-        (link.transmitting() ? 1 : 0) + link.faultFlushedPackets();
+        link.faultFlushedPackets();
     if (link.enqueuedPackets() != accounted) {
       report(now,
              "port %s: conservation broken: enqueued %llu != tx %llu + "
-             "queued %d + serializing %d + fault-flushed %llu",
+             "queued %d + fault-flushed %llu",
              w.label.c_str(),
              static_cast<unsigned long long>(link.enqueuedPackets()),
              static_cast<unsigned long long>(link.txPackets()),
-             link.queuePackets(), link.transmitting() ? 1 : 0,
+             link.queuePackets(),
              static_cast<unsigned long long>(link.faultFlushedPackets()));
     }
-    // Each transmitted packet is delivered or died on the wire to a fault.
-    if (link.deliveredPackets() + link.faultWireDrops() > link.txPackets()) {
+    // Each transmitted packet is delivered, died to a fault, or is still
+    // serializing or propagating.
+    if (link.txPackets() != link.deliveredPackets() + link.faultWireDrops() +
+                                link.wirePackets()) {
       report(now,
-             "port %s: delivered %llu + wire-dropped %llu packets but only "
-             "%llu left the transmitter",
+             "port %s: wire conservation broken: tx %llu != delivered %llu "
+             "+ wire-dropped %llu + on the wire %llu",
              w.label.c_str(),
+             static_cast<unsigned long long>(link.txPackets()),
              static_cast<unsigned long long>(link.deliveredPackets()),
              static_cast<unsigned long long>(link.faultWireDrops()),
-             static_cast<unsigned long long>(link.txPackets()));
+             static_cast<unsigned long long>(link.wirePackets()));
     }
   }
 }

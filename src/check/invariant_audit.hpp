@@ -6,9 +6,9 @@
 // this layer turns those into loud failures.
 //
 // Checked each tick:
-//   * packet conservation, per link:  enqueued == tx + queued + serializing
-//     + fault-flushed, and delivered + fault-wire-drops <= tx (the
-//     remaining difference is in propagation),
+//   * packet conservation, per link:  enqueued == tx + queued +
+//     fault-flushed (tx counts at transmit start), and tx == delivered +
+//     fault-wire-drops + packets on the wire (serializing or propagating),
 //   * packet conservation, end to end:  data sent >= data received, and
 //     the difference is covered by queue drops + fault drops + packets
 //     still inside the network (fault losses are accounted separately so

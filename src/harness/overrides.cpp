@@ -324,6 +324,16 @@ const std::vector<Key>& keyTable() {
 
 bool applyOverride(ExperimentConfig& cfg, const std::string& key,
                    const std::string& value, std::string* error) {
+  // The topo.* keys shape the leaf-spine; a fat-tree run would build from
+  // cfg.fatTree and silently ignore them.
+  if (cfg.fatTree.has_value() && key.rfind("topo.", 0) == 0) {
+    if (error != nullptr) {
+      *error = "override '" + key +
+               "' sets a leaf-spine parameter, but the config builds a "
+               "fat-tree";
+    }
+    return false;
+  }
   for (const auto& entry : keyTable()) {
     if (key != entry.name) continue;
     const KeyValueConfig kv = KeyValueConfig::fromString(key + "=" + value);

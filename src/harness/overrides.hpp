@@ -21,7 +21,8 @@
 namespace tlbsim::harness {
 
 /// Apply one override. Returns false (and explains into *error when
-/// non-null) for an unknown key or a value that does not parse in full.
+/// non-null) for an unknown key, a value that does not parse in full, or a
+/// topo.* key on a config that builds a fat-tree (cfg.fatTree set).
 bool applyOverride(ExperimentConfig& cfg, const std::string& key,
                    const std::string& value, std::string* error = nullptr);
 

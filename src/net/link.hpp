@@ -2,6 +2,14 @@
 // propagation pipe. This is the standard ns-2 output-queued link model:
 // at most one packet is being serialized at a time; any number can be in
 // flight across the propagation delay.
+//
+// One event per hop: when a packet starts serializing, its delivery is
+// posted for transmit end + propagation delay, as ns-3's point-to-point
+// channel does, as the follower of the reserved transmit-end key, so it
+// fires exactly where a delivery posted at transmit end would. The
+// transmit end becomes an event only when something has to happen then:
+// a packet waits behind the transmitter, or a fault landed while the
+// packet was serializing (its fate is then settled at transmit end).
 #pragma once
 
 #include <cstdint>
@@ -67,7 +75,8 @@ class Link {
   SimTime effectiveDelay() const { return delay_ * delayFactor_; }
   double faultRateFactor() const { return rateFactor_; }
   double faultDelayFactor() const { return delayFactor_; }
-  /// Gray-failure drop probability applied at transmit completion.
+  /// Gray-failure drop probability, drawn per packet from the link RNG at
+  /// transmit start (redrawn if reseeded while the packet serializes).
   double faultDropProb() const { return dropProb_; }
 
   /// Take the link down. The queue is flushed (flushed packets count as
@@ -86,17 +95,23 @@ class Link {
   void faultSetDropProb(double prob, std::uint64_t seed);
 
   // --- statistics ---------------------------------------------------------
+  /// Packets (bytes) that started serializing.
   std::uint64_t txPackets() const { return txPackets_; }
   ByteCount txBytes() const { return txBytes_; }
   std::uint64_t drops() const { return queue_.drops(); }
   /// Packets accepted into the queue since construction (audit support:
-  /// enqueued == tx + queued + serializing must hold at all times).
+  /// enqueued == tx + queued + fault-flushed holds at all times).
   std::uint64_t enqueuedPackets() const { return enqueuedPackets_; }
   ByteCount enqueuedBytes() const { return enqueuedBytes_; }
-  /// Packets handed to the peer after propagation; tx - delivered is the
-  /// number currently in flight on the wire.
+  /// Packets handed to the peer after propagation.
   std::uint64_t deliveredPackets() const { return deliveredPackets_; }
-  bool transmitting() const { return transmitting_; }
+  /// Packets that left the queue and are neither delivered nor lost yet:
+  /// serializing or propagating (audit support: tx == delivered +
+  /// fault-wire-drops + this holds at all times).
+  std::uint64_t wirePackets() const { return wireLive_; }
+  /// True while a packet is serializing, i.e. until the event loop passes
+  /// the transmit-end key.
+  bool transmitting() const;
   /// Cumulative time the transmitter has been busy; utilization over a
   /// window is the delta of this divided by the window.
   SimTime busyTime() const { return busyTime_; }
@@ -106,8 +121,9 @@ class Link {
   std::uint64_t faultRejectedPackets() const { return faultRejectedPackets_; }
   /// Packets flushed out of the queue by faultDown (were enqueued).
   std::uint64_t faultFlushedPackets() const { return faultFlushedPackets_; }
-  /// Packets lost after serialization: killed in flight by a drop-mode
-  /// faultDown, or gray-dropped (were enqueued and transmitted).
+  /// Packets lost after leaving the queue: killed by a drop-mode faultDown
+  /// while serializing or propagating, or gray-dropped (were enqueued and
+  /// transmitted).
   std::uint64_t faultWireDrops() const { return faultWireDrops_; }
   /// All fault-induced losses on this link.
   std::uint64_t faultDrops() const {
@@ -130,9 +146,13 @@ class Link {
 
  private:
   void startTransmission();
-  void onTransmitComplete();
-  void deliver(std::uint32_t wireSlot);
-  std::uint32_t wireAlloc(const Packet& pkt, std::uint64_t epoch);
+  void postTransmitEnd();
+  void onTransmitEnd();
+  void settleAtTransmitEnd();
+  void faultMidSerialization();
+  void deliver(std::uint32_t wireSlot, std::uint32_t gen);
+  std::uint32_t wireAlloc(const Packet& pkt);
+  void wireFree(std::uint32_t slot);
   void noteFaultDrop(const Packet& pkt);
 
   sim::Simulator& sim_;
@@ -141,27 +161,45 @@ class Link {
   DropTailQueue queue_;
   Node* peer_ = nullptr;
   int peerPort_ = -1;
-  bool transmitting_ = false;
-  /// The packet currently being serialized (valid while transmitting_).
-  /// Keeping it here lets the transmit-complete event capture only [this].
-  Packet txPacket_;
 
-  // In-flight packets on the propagation pipe live in a slot pool so the
-  // delivery event captures [this, slot] (16 bytes — inline in EventFn)
-  // instead of a whole Packet. Slots are reused via a free list: zero
-  // steady-state allocations once the pool reaches its high-water mark.
+  // The transmitter. (busyUntil_, txEndSeq_) is the reserved transmit-end
+  // key of the latest transmission; it becomes an event only via
+  // postTransmitEnd(). The serializing packet already sits in the wire
+  // pool at txSlot_.
+  SimTime busyUntil_;
+  std::uint64_t txEndSeq_ = 0;
+  std::uint32_t txSlot_ = 0;
+  bool txEndPosted_ = false;
+  /// The packet's fate is decided at transmit end, not at transmit start:
+  /// a fault landed mid-serialization, the start-time gray draw doomed it,
+  /// or the link has no peer.
+  bool txSettle_ = false;
+  /// The gray-loss verdict: drawn at transmit start, redrawn by a reseed
+  /// mid-serialization.
+  bool txGrayDrop_ = false;
+
+  // Packets that left the queue (serializing or propagating) live in a
+  // slot pool so the delivery event captures [this, slot, gen] (16 bytes —
+  // inline in EventFn) instead of a whole Packet. Slots are reused via a
+  // free list: zero steady-state allocations once the pool reaches its
+  // high-water mark. `gen` changes whenever a slot's delivery is re-posted
+  // or the slot is freed, so a superseded delivery event finds a mismatch
+  // and does nothing.
   static constexpr std::uint32_t kNoWireSlot = 0xffffffffu;
   struct WireSlot {
     Packet pkt;
     std::uint64_t epoch = 0;
     std::uint32_t nextFree = kNoWireSlot;
+    std::uint32_t gen = 0;
   };
   std::vector<WireSlot> wire_;
   std::uint32_t wireFreeHead_ = kNoWireSlot;
+  std::uint64_t wireLive_ = 0;
 
   // Fault state. wireEpoch_ is bumped by every drop-mode faultDown; each
-  // scheduled delivery carries the epoch it departed under and is discarded
-  // on mismatch (this is how in-flight packets die deterministically).
+  // scheduled delivery carries the epoch it left the transmitter under and
+  // is discarded on mismatch (this is how in-flight packets die
+  // deterministically).
   bool up_ = true;
   double rateFactor_ = 1.0;
   double delayFactor_ = 1.0;

@@ -80,6 +80,56 @@ TEST(InvariantAuditor, WatchedLinkStaysConsistentThroughTraffic) {
   EXPECT_EQ(link.deliveredPackets(), 4u);
 }
 
+class CountingSink : public net::Node {
+ public:
+  void receive(net::Packet, int) override { ++received; }
+  std::string name() const override { return "sink"; }
+  int received = 0;
+};
+
+TEST(InvariantAuditor, WireConservationIsExactThroughMidSerializationFaults) {
+  // Faults land while packets serialize and propagate; the auditor checks
+  // tx == delivered + wire-dropped + on the wire every microsecond.
+  sim::Simulator simr;
+  CountingSink sink;
+  net::Link link(simr, gbps(1), microseconds(10), {64, 0});
+  link.connect(&sink, 0);
+  InvariantAuditor::Config cfg = lenient();
+  cfg.interval = microseconds(1);
+  InvariantAuditor auditor(cfg);
+  auditor.watchLink(link, "test-link");
+  auditor.install(simr);
+
+  net::Packet pkt;
+  pkt.flow = 1;
+  pkt.size = 1500_B;
+  pkt.payload = 1500_B;
+  for (int i = 0; i < 40; ++i) {
+    simr.post(microseconds(7 * i), [&] { link.send(pkt); });
+  }
+  simr.post(microseconds(30), [&] { link.faultSetDropProb(0.3, 11); });
+  simr.post(microseconds(55), [&] { link.faultSetDelayFactor(3.0); });
+  simr.post(microseconds(61), [&] { link.faultDown(false); });
+  simr.post(microseconds(66), [&] { link.faultUp(); });
+  simr.post(microseconds(100), [&] { link.faultSetDelayFactor(1.0); });
+  simr.post(microseconds(130), [&] { link.faultDown(false); });
+  simr.post(microseconds(170), [&] { link.faultUp(); });
+  simr.post(microseconds(200), [&] { link.faultDown(true); });
+  simr.post(microseconds(230), [&] { link.faultUp(); });
+  simr.post(microseconds(250), [&] { link.faultSetDropProb(0.0, 3); });
+  simr.run(microseconds(600));
+
+  EXPECT_GT(auditor.ticks(), 500u);
+  EXPECT_EQ(auditor.violationCount(), 0u)
+      << auditor.violations().front().what;
+  EXPECT_GT(link.faultWireDrops(), 0u);
+  EXPECT_EQ(link.wirePackets(), 0u);
+  EXPECT_EQ(link.txPackets(),
+            link.deliveredPackets() + link.faultWireDrops());
+  EXPECT_EQ(link.deliveredPackets(),
+            static_cast<std::uint64_t>(sink.received));
+}
+
 harness::ExperimentConfig auditedConfig(harness::Scheme scheme) {
   harness::ExperimentConfig cfg;
   cfg.topo.numLeaves = 2;

@@ -70,11 +70,16 @@ TEST(LinkFault, DownFlushesQueueWithoutDequeueHooks) {
   EXPECT_EQ(link.queuePackets(), 0);
   EXPECT_EQ(link.faultFlushedPackets(), 3u);
   EXPECT_EQ(dequeues, 1) << "flushed packets must not look like dequeues";
-  // Per-link conservation with the fault term:
-  // enqueued == tx + queued + serializing + flushed.
+  // Per-link conservation with the fault term; the packet still
+  // serializing counts as transmitted and is on the wire:
+  // enqueued == tx + queued + flushed, tx == delivered + wire-dropped + wire.
+  EXPECT_TRUE(link.transmitting());
   EXPECT_EQ(link.enqueuedPackets(),
             link.txPackets() + static_cast<std::uint64_t>(link.queuePackets())
-                + (link.transmitting() ? 1 : 0) + link.faultFlushedPackets());
+                + link.faultFlushedPackets());
+  EXPECT_EQ(link.txPackets(), link.deliveredPackets() + link.faultWireDrops()
+                                  + link.wirePackets());
+  EXPECT_EQ(link.wirePackets(), 1u);
 }
 
 TEST(LinkFault, DropModeKillsSerializingAndInFlightPackets) {

@@ -175,20 +175,18 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(Golden, TlbUnderLinkFlap) {
+/// basicMix() under TLB with leaf0-spine1 down from 5 ms to 40 ms.
+ExperimentConfig tlbLinkFlap() {
   ExperimentConfig cfg = basicMix(Scheme::kTlb);
   std::string err;
-  ASSERT_TRUE(
-      fault::parseLinkFaults("leaf0-spine1,down@5ms,up@40ms", &cfg.fault, &err))
-      << err;
-  ExperimentResult res;
-  const Digests d = runAudited(std::move(cfg), &res);
-  EXPECT_EQ(res.faultEventsApplied, 2u);
-  EXPECT_EQ(d.summary, "0x63465358c4ae4bb3");
-  EXPECT_EQ(d.flows, "0x0557908753f2d72b");
+  const bool ok =
+      fault::parseLinkFaults("leaf0-spine1,down@5ms,up@40ms", &cfg.fault, &err);
+  EXPECT_TRUE(ok) << err;
+  return cfg;
 }
 
-TEST(Golden, EcmpAppQueries) {
+/// basicMix() under ECMP with ten partition-aggregate queries on top.
+ExperimentConfig ecmpApp() {
   ExperimentConfig cfg = basicMix(Scheme::kEcmp);
   cfg.app.queries = 10;
   cfg.app.fanOut = 4;
@@ -196,7 +194,19 @@ TEST(Golden, EcmpAppQueries) {
   cfg.app.placement = app::Placement::kSpread;
   cfg.app.responseBytes = 16 * kKB;
   cfg.app.slo = milliseconds(10);
-  const Digests d = runAudited(std::move(cfg));
+  return cfg;
+}
+
+TEST(Golden, TlbUnderLinkFlap) {
+  ExperimentResult res;
+  const Digests d = runAudited(tlbLinkFlap(), &res);
+  EXPECT_EQ(res.faultEventsApplied, 2u);
+  EXPECT_EQ(d.summary, "0x63465358c4ae4bb3");
+  EXPECT_EQ(d.flows, "0x0557908753f2d72b");
+}
+
+TEST(Golden, EcmpAppQueries) {
+  const Digests d = runAudited(ecmpApp());
   EXPECT_EQ(d.summary, "0xc57765217e69e8d3");
   EXPECT_EQ(d.flows, "0x27d85d4cfb734c23");
   EXPECT_EQ(d.queries, "0x08cac353c24c03e3");
@@ -217,6 +227,26 @@ TEST(Golden, TlbSampledSeries) {
             "0x882a966ecdac4cc2");
   EXPECT_EQ(hex(seriesDigest(res.fabricUtilization.points())),
             "0xb5a2c61da01eef17");
+}
+
+// The number of events each run executes. The count is exact and
+// deterministic, so it gates the event core's cost per packet where no
+// timing metric can: a change that adds events per packet fails here.
+TEST(Golden, EventCounts) {
+  const std::pair<const char*, ExperimentConfig> runs[] = {
+      {"ecmp", basicMix(Scheme::kEcmp)},
+      {"drill", basicMix(Scheme::kDrill)},
+      {"tlb", basicMix(Scheme::kTlb)},
+      {"tlb link flap", tlbLinkFlap()},
+      {"ecmp app", ecmpApp()},
+  };
+  const std::uint64_t expected[] = {43788, 42980, 43612, 43030, 50733};
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    Experiment exp(runs[i].second);
+    const ExperimentResult res = exp.run();
+    EXPECT_EQ(res.auditViolations, 0u) << runs[i].first;
+    EXPECT_EQ(res.executedEvents, expected[i]) << runs[i].first;
+  }
 }
 
 // The k=4 fat-tree test mix: both decision tiers (edge and aggregation)

@@ -56,6 +56,30 @@ TEST(Overrides, RejectsOneLeafFabric) {
   EXPECT_EQ(cfg.topo.numLeaves, 2);
 }
 
+TEST(Overrides, RejectsLeafSpineKeysOnFatTree) {
+  // A fat-tree builds from cfg.fatTree; a topo.* value would be ignored.
+  ExperimentConfig cfg;
+  cfg.fatTree = net::FatTreeConfig{};
+  const ExperimentConfig before = cfg;
+  for (const char* key : {"topo.buffer", "topo.rate-gbps", "topo.leaves",
+                          "topo.ecn-k", "topo.rtt-us"}) {
+    std::string err;
+    EXPECT_FALSE(applyOverride(cfg, key, "8", &err)) << key;
+    EXPECT_NE(err.find(key), std::string::npos) << err;
+    EXPECT_NE(err.find("fat-tree"), std::string::npos) << err;
+  }
+  EXPECT_EQ(cfg.topo.bufferPackets, before.topo.bufferPackets);
+  EXPECT_EQ(cfg.topo.numLeaves, before.topo.numLeaves);
+  EXPECT_EQ(cfg.tcp.enableEcn, before.tcp.enableEcn);
+  // Keys outside topo.* still apply to a fat-tree.
+  EXPECT_TRUE(applyOverride(cfg, "scheme", "letflow"));
+  EXPECT_EQ(cfg.scheme.scheme, Scheme::kLetFlow);
+  // The list form stops at the rejected key.
+  std::string err;
+  EXPECT_FALSE(applyOverrides(cfg, {"scheme=tlb", "topo.buffer=256"}, &err));
+  EXPECT_NE(err.find("topo.buffer"), std::string::npos) << err;
+}
+
 TEST(Overrides, ListAppliesInOrderAndStopsAtFirstFailure) {
   ExperimentConfig cfg;
   std::string err;

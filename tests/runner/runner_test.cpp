@@ -299,6 +299,28 @@ TEST(Runner, FaultCableOutsideTheFabricFailsBeforeAnyPointRuns) {
   EXPECT_EQ(ran, 0);
 }
 
+TEST(Runner, LeafSpineOverrideOnFatTreeFailsBeforeAnyPointRuns) {
+  SweepScenario scenario;
+  scenario.base = [](const SweepPoint& pt) {
+    return harness::fatTreeMix(pt.scheme, pt.baseSeed);
+  };
+  SweepSpec spec;
+  spec.variants = {{"base", {}}, {"small buffer", {"topo.buffer=8"}}};
+  int ran = 0;
+  RunnerOptions opt;
+  opt.onRunDone = [&ran](const SweepPoint&,
+                         const harness::ExperimentResult&) { ++ran; };
+  try {
+    runSweep(spec, scenario, opt);
+    FAIL() << "expected the sweep to be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("topo.buffer"), std::string::npos) << what;
+    EXPECT_NE(what.find("fat-tree"), std::string::npos) << what;
+  }
+  EXPECT_EQ(ran, 0);
+}
+
 TEST(Runner, OnRunDoneFiresOncePerPoint) {
   SweepSpec spec = tinySpec();
   RunnerOptions opt;

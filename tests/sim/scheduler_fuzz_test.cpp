@@ -7,6 +7,8 @@
 // indexed heap must reproduce exactly for runs to be deterministic and
 // byte-identical across heap layouts. The third runs that model in
 // lockstep over a simulator-sized population with re-entrant callbacks.
+// The second and third also reserve keys, post some of them later (the
+// link's transmit-end pattern), and check passed() against the model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,6 +77,16 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
     bool cancelled = false;
     bool fired = false;
   };
+  // A reserved key not yet posted: it owns model record `ref`, which the
+  // model treats as cancelled unless and until it is posted.
+  struct Reservation {
+    std::size_t ref;
+    std::uint64_t seq;
+  };
+  std::vector<Reservation> reserved;
+  // Every run(until) fires all keys at or before `until`, so a key has
+  // passed exactly when its time is at or before the last limit.
+  SimTime lastUntil = -1_ns;
   std::vector<Ref> model;
   // Handle index i owns model record liveRef[i].
   std::vector<EventHandle> live;
@@ -103,13 +115,32 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
 
   for (int op = 0; op < 4000; ++op) {
     const double action = rng.uniform();
-    if (action < 0.55) {
+    if (action < 0.45) {
       const SimTime delay = SimTime::fromNs(rng.uniformInt(0, 500));
       const int token = nextToken++;
       model.push_back(Ref{sched.now() + delay, order++, token});
       liveRef.push_back(model.size() - 1);
       live.push_back(
           sched.schedule(delay, [&actual, token] { actual.push_back(token); }));
+    } else if (action < 0.50) {
+      const SimTime delay = SimTime::fromNs(rng.uniformInt(0, 500));
+      model.push_back(Ref{sched.now() + delay, order++, nextToken++});
+      model.back().cancelled = true;
+      reserved.push_back(
+          Reservation{model.size() - 1, sched.reserveKey(model.back().time)});
+    } else if (action < 0.55 && !reserved.empty()) {
+      const std::size_t idx = rng.uniformInt(reserved.size());
+      const Reservation r = reserved[idx];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(idx));
+      Ref& ref = model[r.ref];
+      const bool passed = ref.time <= lastUntil;
+      ASSERT_EQ(sched.passed(ref.time, r.seq), passed) << "op " << op;
+      if (!passed) {
+        ref.cancelled = false;
+        const int token = ref.token;
+        sched.postReserved(ref.time, r.seq,
+                           [&actual, token] { actual.push_back(token); });
+      }
     } else if (action < 0.75 && !live.empty()) {
       const std::size_t idx = rng.uniformInt(live.size());
       const bool was = live[idx].cancel();
@@ -123,6 +154,7 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
           sched.now() + SimTime::fromNs(rng.uniformInt(0, 200));
       sched.run(until);
       modelRunTo(until);
+      lastUntil = until;
       ASSERT_EQ(actual, expected) << "divergence after run(" << until.ns()
                                   << " ns), op " << op;
       // Drop handles for fired events so RAII destruction later cannot
@@ -137,6 +169,10 @@ TEST_P(SchedulerOrderFuzz, FiringOrderMatchesReferenceModel) {
   }
 
   for (auto& h : live) h.release();
+  for (const Reservation& r : reserved) {
+    const Ref& ref = model[r.ref];
+    EXPECT_EQ(sched.passed(ref.time, r.seq), ref.time <= lastUntil);
+  }
   sched.run();
   modelRunTo(Scheduler::kMaxTime);
   EXPECT_EQ(actual, expected);
@@ -153,7 +189,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerOrderFuzz,
 // callbacks that post, schedule and cancel from inside fn() — the Link and
 // TCP patterns. The model is an ordered map keyed by (time, scheduling
 // order) and fires in lockstep: at each callback the token must be the
-// model's minimum.
+// model's minimum. Keys with followers (the Link's transmit end and
+// delivery) are modelled the way the scheduler must reproduce: the key
+// sits in the map as a marker, and when the run reaches it the follower
+// enters the map at its own time with the next scheduling order.
 class ReentrantModel {
  public:
   static constexpr std::size_t kPreload = 1200;
@@ -182,14 +221,20 @@ class ReentrantModel {
 
   std::uint64_t fired() const { return fired_; }
   std::uint64_t cancelled() const { return cancelled_; }
+  std::uint64_t reservedPosted() const { return reservedPosted_; }
+  std::uint64_t reservedPassed() const { return reservedPassed_; }
+  std::uint64_t followersFired() const { return followersFired_; }
   std::size_t pendingAtBudget() const { return pendingAtBudget_; }
 
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};
+  /// Set in a pending_ value that is a key's marker, not an event.
+  static constexpr std::size_t kMarker = std::size_t{1} << 62;
 
   struct Key {
     std::int64_t ns;
     std::uint64_t order;
+    int kind = 1;  ///< 0: a key's marker, which precedes the key's event
     auto operator<=>(const Key&) const = default;
   };
 
@@ -215,6 +260,66 @@ class ReentrantModel {
     sched_.post(delay, [this, token] { onFire(token, kNone); });
   }
 
+  /// Reserve a key on the packet grid without posting it; the model only
+  /// learns of it if it is posted.
+  void reserveKey() {
+    const SimTime when = sched_.now() + packetDelay();
+    const std::size_t token = keys_.size();
+    keys_.push_back(Key{when.ns(), order_++});
+    reserved_.push_back(Reserved{token, sched_.reserveKey(when)});
+  }
+
+  /// Reserve a key on the packet grid that carries a follower a few grid
+  /// steps (or none) later. The model holds the key's marker; the follower
+  /// only gets its place when the run reaches the key.
+  void reserveKeyWithFollower() {
+    const SimTime keyTime = sched_.now() + packetDelay();
+    const SimTime when = keyTime + SimTime::fromNs(100 * rng_.uniformInt(0, 4));
+    const std::size_t keyToken = keys_.size();
+    keys_.push_back(Key{keyTime.ns(), order_++});
+    const std::size_t follower = keys_.size();
+    keys_.push_back(Key{when.ns(), 0});  // order set when the key passes
+    isFollower_.resize(keys_.size());
+    isFollower_[follower] = true;
+    Key marker = keys_[keyToken];
+    marker.kind = 0;
+    pending_.emplace(marker, follower | kMarker);
+    const std::uint64_t seq = sched_.reserveKeyWithFollower(
+        keyTime, when, [this, follower] { onFire(follower, kNone); });
+    reserved_.push_back(Reserved{keyToken, seq});
+  }
+
+  /// The run reached every marker ahead of the next event: their
+  /// followers take their places, in key order.
+  void passMarkers() {
+    while (!pending_.empty() && (pending_.begin()->second & kMarker) != 0) {
+      const std::size_t follower = pending_.begin()->second & ~kMarker;
+      pending_.erase(pending_.begin());
+      keys_[follower].order = order_++;
+      pending_.emplace(keys_[follower], follower);
+    }
+  }
+
+  /// Post a random outstanding reservation if its key is still ahead of
+  /// the event firing now (`current`); drop it otherwise.
+  void postReservedKey(std::size_t current) {
+    const std::size_t idx = rng_.uniformInt(reserved_.size());
+    const Reserved r = reserved_[idx];
+    reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(idx));
+    const SimTime when = SimTime::fromNs(keys_[r.token].ns);
+    const bool passed = keys_[r.token] <= keys_[current];
+    EXPECT_EQ(sched_.passed(when, r.seq), passed)
+        << "reserved token " << r.token << " at token " << current;
+    if (passed) {
+      ++reservedPassed_;
+      return;
+    }
+    pending_.emplace(keys_[r.token], r.token);
+    const std::size_t token = r.token;
+    sched_.postReserved(when, r.seq, [this, token] { onFire(token, kNone); });
+    ++reservedPosted_;
+  }
+
   /// (Re-)arm timer k; the move-assignment cancels a still-pending arm.
   void armTimer(std::size_t k) {
     retireTimer(k, /*viaCancel=*/false);
@@ -237,6 +342,7 @@ class ReentrantModel {
 
   void onFire(std::size_t token, std::size_t timer) {
     if (diverged_) return;
+    passMarkers();
     const std::size_t expected = pending_.begin()->second;
     if (token != expected) {
       diverged_ = true;
@@ -247,6 +353,7 @@ class ReentrantModel {
     EXPECT_EQ(sched_.now().ns(), keys_[token].ns);
     pending_.erase(pending_.begin());
     ++fired_;
+    if (token < isFollower_.size() && isFollower_[token]) ++followersFired_;
     if (timer != kNone) {
       EXPECT_FALSE(timers_[timer].pending());  // fired counts as not pending
     }
@@ -258,6 +365,11 @@ class ReentrantModel {
       postPacket();
       if (rng_.uniform() < 0.05) postPacket();
     }
+    // Reserve keys now and then, most with a follower; post about half of
+    // them from a later callback, while some have passed by then.
+    if (rng_.uniform() < 0.05) reserveKey();
+    if (timer == kNone && rng_.uniform() < 0.2) reserveKeyWithFollower();
+    if (!reserved_.empty() && rng_.uniform() < 0.05) postReservedKey(token);
     const double action = rng_.uniform();
     if (action < 0.25) {
       armTimer(rng_.uniformInt(kTimers));
@@ -268,15 +380,25 @@ class ReentrantModel {
     }
   }
 
+  struct Reserved {
+    std::size_t token;
+    std::uint64_t seq;
+  };
+
   Scheduler sched_;
   Rng rng_;
   std::vector<Key> keys_;               ///< by token
+  std::vector<Reserved> reserved_;      ///< reserved, not yet posted
   std::map<Key, std::size_t> pending_;  ///< the reference order
   std::vector<EventHandle> timers_;
   std::vector<std::size_t> timerRef_;  ///< token of each timer's arm
   std::uint64_t order_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t reservedPosted_ = 0;
+  std::uint64_t reservedPassed_ = 0;
+  std::uint64_t followersFired_ = 0;
+  std::vector<bool> isFollower_;  ///< by token
   std::size_t pendingAtBudget_ = 0;
   bool draining_ = false;
   bool diverged_ = false;
@@ -291,6 +413,9 @@ TEST_P(SchedulerPopulationFuzz, ReentrantCallbacksKeepReferenceOrder) {
   EXPECT_GE(model.pendingAtBudget(), ReentrantModel::kPreload);
   EXPECT_GT(model.cancelled(), 1000u);
   EXPECT_GT(model.fired(), 20'000u);
+  EXPECT_GT(model.reservedPosted(), 20u);
+  EXPECT_GT(model.reservedPassed(), 20u);
+  EXPECT_GT(model.followersFired(), 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerPopulationFuzz,

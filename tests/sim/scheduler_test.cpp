@@ -298,6 +298,110 @@ TEST(Scheduler, PeriodicTickHookSeesName) {
   EXPECT_STREQ(seen, "ctrl");
 }
 
+// --- reserved keys and followers --------------------------------------------
+
+TEST(Scheduler, ReservedKeyFiresWhereItWasReserved) {
+  Scheduler s;
+  std::vector<int> order;
+  s.post(10_ns, [&] { order.push_back(1); });
+  const std::uint64_t key = s.reserveKey(10_ns);
+  s.post(10_ns, [&] { order.push_back(3); });
+  s.post(5_ns, [&] {
+    EXPECT_FALSE(s.passed(10_ns, key));
+    s.postReserved(10_ns, key, [&] { order.push_back(2); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Scheduler, PassedFollowsTheFiringKey) {
+  Scheduler s;
+  const std::uint64_t early = s.reserveKey(10_ns);
+  std::uint64_t late = 0;
+  std::vector<bool> seen;
+  s.post(10_ns, [&] {
+    seen.push_back(s.passed(10_ns, early));
+    seen.push_back(s.passed(10_ns, late));
+  });
+  late = s.reserveKey(10_ns);
+  s.post(10_ns, [&] {
+    seen.push_back(s.passed(10_ns, late));
+    seen.push_back(s.passed(20_ns, early));
+  });
+  EXPECT_FALSE(s.passed(10_ns, early));
+  s.run();
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true, false}));
+  EXPECT_TRUE(s.passed(10_ns, late));
+  // A bounded run passes every key at or before its limit.
+  const std::uint64_t atLimit = s.reserveKey(50_ns);
+  s.run(50_ns);
+  EXPECT_TRUE(s.passed(50_ns, atLimit));
+  EXPECT_FALSE(s.passed(50_ns, s.reserveKey(50_ns)));
+}
+
+TEST(Scheduler, FollowerFiresAsIfPostedWhenItsKeyPasses) {
+  Scheduler s;
+  std::vector<char> order;
+  s.post(20_ns, [&] { order.push_back('a'); });  // created before the key
+  s.reserveKeyWithFollower(10_ns, 20_ns, [&] { order.push_back('f'); });
+  // Created after the key was reserved but before the run passes it: the
+  // follower, posted by the key's event, would have come after it.
+  s.post(20_ns, [&] { order.push_back('b'); });
+  s.post(15_ns, [&] {
+    // The key has passed: created after the follower.
+    s.post(5_ns, [&] { order.push_back('c'); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'f', 'c'}));
+  EXPECT_EQ(s.executedEvents(), 5u);  // the key itself never ran
+}
+
+TEST(Scheduler, FollowersAtOneTimeFireInKeyOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  // Reserved first but passed last: its follower comes second.
+  s.reserveKeyWithFollower(20_ns, 30_ns, [&] { order.push_back(2); });
+  s.reserveKeyWithFollower(10_ns, 30_ns, [&] { order.push_back(1); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Scheduler, FollowerPrecedesWhatItsKeysEventPosts) {
+  Scheduler s;
+  std::vector<char> order;
+  const std::uint64_t key =
+      s.reserveKeyWithFollower(10_ns, 20_ns, [&] { order.push_back('f'); });
+  s.post(20_ns, [&] { order.push_back('a'); });
+  // The key's own event runs after the follower has taken its place, as
+  // the event that posted the follower first thing would have.
+  s.postReserved(10_ns, key, [&] {
+    order.push_back('k');
+    s.post(10_ns, [&] { order.push_back('b'); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'k', 'a', 'f', 'b'}));
+}
+
+#ifndef NDEBUG
+TEST(Scheduler, ReservedKeyMisuseTripsDebugCheck) {
+  Scheduler s;
+  auto* prev = check::setFailureHandler(
+      [](const char*, int, const char*, const char*) {});
+  const long before = check::failureCount();
+  const std::uint64_t key = s.reserveKey(10_ns);
+  s.postReserved(10_ns, key, [] {});
+  s.postReserved(10_ns, key, [] {});  // posted twice
+  const long twice = check::failureCount();
+  const std::uint64_t past = s.reserveKey(5_ns);
+  s.run(7_ns);
+  s.postReserved(5_ns, past, [] {});  // the run has passed it
+  const long after = check::failureCount();
+  check::setFailureHandler(prev);
+  EXPECT_EQ(twice, before + 1);
+  EXPECT_GE(after, twice + 1);
+}
+#endif
+
 TEST(Simulator, PeriodicTimerFiresRepeatedly) {
   Simulator sim;
   int ticks = 0;

@@ -69,6 +69,16 @@ fault-mutation
     declarative (seed-deterministic) FaultPlan. Route faults through an
     ExperimentConfig's FaultPlan instead.
 
+reserved-key
+    The scheduler's reserved-key API (reserveKey(), reserveKeyWithFollower(),
+    postReserved(), passed()) may only be used by the link transmitter
+    (src/net/link.cpp) and the scheduler itself. A reserved key holds a
+    place in the event order for an event that may never be posted, and a
+    follower is ordered by a key it may never see fire; both are exact only
+    under the link's discipline (one transmit-end key per transmission,
+    posted at most once, before it passes). Anything else schedules with
+    post()/schedule().
+
 flowprobe-mutation
     FlowProbe state may only be mutated at the instrumented decision
     sites: declareFlow()/finishFlow() belong to the harness's flow
@@ -144,6 +154,16 @@ HOT_PATH_CONTAINER_RE = re.compile(
 
 FAULT_MUTATION_RE = re.compile(
     r"\bfault(Down|Up|SetRateFactor|SetDelayFactor|SetDropProb)\s*\(")
+
+RESERVED_KEY_RE = re.compile(
+    r"\b(reserveKey|reserveKeyWithFollower|postReserved)\s*\("
+    r"|(?:\.|->)\s*(passed)\s*\(")
+# The reserved-key API's only user, plus its definition.
+RESERVED_KEY_AUTHORITY_FILES = (
+    "src/net/link.cpp",
+    "src/sim/scheduler.hpp",
+    "src/sim/scheduler.cpp",
+)
 
 FLOWPROBE_MUTATION_RE = re.compile(
     r"\b(declareFlow|finishFlow|onUplinkForward|onRetransmit"
@@ -345,6 +365,17 @@ def check_file(path: pathlib.Path, rel: pathlib.Path, text: str,
                     "schedule it through a FaultPlan so the injector, "
                     "monitor, and trace stay consistent"))
 
+        # --- reserved-key -------------------------------------------
+        if rel.as_posix() not in RESERVED_KEY_AUTHORITY_FILES:
+            m = RESERVED_KEY_RE.search(code)
+            if m and not allowed(raw, "reserved-key", prev_raw):
+                findings.append(Finding(
+                    rel, lineno, "reserved-key",
+                    f"{m.group(1) or m.group(2)}() outside "
+                    "src/net/link.cpp; the scheduler's reserved keys "
+                    "belong to the link transmitter, schedule with "
+                    "post()/schedule() instead"))
+
         # --- flowprobe-mutation ---------------------------------------
         if not is_flowprobe_authority:
             m = FLOWPROBE_MUTATION_RE.search(code)
@@ -541,6 +572,21 @@ SELF_TEST_CASES = [
     (None, "src/lb/x.hpp",
      "// debug-only snapshot. tlbsim-lint: allow(flowid-map)\n"
      "std::unordered_map<FlowId, State> snapshot_;\n"),
+    # reserved-key: only the link transmitter holds reserved keys.
+    ("reserved-key", "src/transport/x.cpp",
+     "const auto seq = sim.scheduler().reserveKey(t);\n"),
+    ("reserved-key", "src/net/switch.cpp",
+     "sched.reserveKeyWithFollower(t, t + d, [this] { go(); });\n"),
+    ("reserved-key", "src/app/x.cpp", "sched->postReserved(t, seq, fn);\n"),
+    ("reserved-key", "tools/x.cpp", "if (sched.passed(t, seq)) return;\n"),
+    (None, "src/net/link.cpp",
+     "txEndSeq_ = sim_.scheduler().reserveKey(busyUntil_);\n"),
+    (None, "src/sim/scheduler.cpp",
+     "const std::uint64_t keySeq = reserveKey(keyTime);\n"),
+    (None, "src/transport/x.cpp", "bool passed = rto.fired();\n"),
+    (None, "src/net/x.cpp",
+     "// tlbsim-lint: allow(reserved-key)\n"
+     "sched.reserveKey(t);\n"),
     # app-flowspec-factory: flows in src/app come from the FlowFactory.
     ("app-flowspec-factory", "src/app/x.cpp", "transport::FlowSpec f;\n"),
     ("app-flowspec-factory", "src/app/service.cpp",
